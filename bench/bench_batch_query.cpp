@@ -187,7 +187,6 @@ EngineRun engine_replay(const core::LcaKp& lca,
   config.workers = 2;
   config.queue_capacity = trace.size();
   config.batcher.max_batch_size = 64;
-  config.batcher.max_linger = std::chrono::microseconds(100);
   config.cache.capacity = 1 << 13;
   config.cache.shards = 8;
   config.batch_eval = batch_eval;

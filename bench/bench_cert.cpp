@@ -109,7 +109,6 @@ int main(int argc, char** argv) {
     engine_config.workers = 4;
     engine_config.queue_capacity = trace.size();
     engine_config.batcher.max_batch_size = 64;
-    engine_config.batcher.max_linger = std::chrono::microseconds(200);
     engine_config.cache.capacity = 1 << 14;
     engine_config.cache.shards = 8;
     engine_config.cache.paranoia_every = 64;

@@ -105,7 +105,6 @@ SoakResult soak(const oracle::InstanceAccess& storage, const SoakConfig& soak_co
   engine_config.workers = 4;
   engine_config.queue_capacity = soak_config.requests;
   engine_config.batcher.max_batch_size = 32;
-  engine_config.batcher.max_linger = std::chrono::microseconds(200);
   engine_config.cache.capacity = 1 << 12;
   engine_config.cache.shards = 8;
   engine_config.degrade = soak_config.resilient;

@@ -179,7 +179,6 @@ int main(int argc, char** argv) {
     tenant.engine.workers = 2;
     tenant.engine.queue_capacity = 8'192;
     tenant.engine.batcher.max_batch_size = 32;
-    tenant.engine.batcher.max_linger = std::chrono::microseconds(100);
     tenant.engine.cache.capacity = 4'096;
     tenant.engine.cache.shards = 4;
     router.register_tenant("bench", tenant);

@@ -102,7 +102,6 @@ EngineResult engine_replay(const core::LcaKp& lca,
   config.queue_capacity = trace.size();  // admit the whole burst: this bench
                                          // measures throughput, not shedding
   config.batcher.max_batch_size = 64;
-  config.batcher.max_linger = std::chrono::microseconds(200);
   config.cache.capacity = 1 << 14;
   config.cache.shards = 8;
   config.cache.paranoia_every = 64;

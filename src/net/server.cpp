@@ -42,10 +42,11 @@ Server::Sink::~Sink() {
   if (event_fd >= 0) ::close(event_fd);
 }
 
-void Server::Sink::push(std::uint64_t conn_id, std::string bytes) {
+void Server::Sink::push(std::uint64_t conn_id, WireStatus status,
+                        std::string bytes) {
   std::lock_guard<std::mutex> lock(mutex);
   if (closed) return;
-  ready.emplace_back(conn_id, std::move(bytes));
+  ready.push_back(Completion{conn_id, status, std::move(bytes)});
   const std::uint64_t one = 1;
   // The eventfd write can only fail if the counter saturates; the loop is
   // already guaranteed to wake in that case.
@@ -135,7 +136,8 @@ void Server::stop() {
     if (loop_.joinable()) loop_.join();
     return;
   }
-  sink_->push(0, std::string());  // wake the loop; conn id 0 never exists
+  // Wake the loop; conn id 0 never exists.
+  sink_->push(0, WireStatus::kOk, std::string());
   if (loop_.joinable()) loop_.join();
   {
     std::lock_guard<std::mutex> lock(sink_->mutex);
@@ -284,7 +286,7 @@ void Server::handle_readable(Connection& conn) {
       ResponseFrame response;
       response.request_id = 0;
       response.status = WireStatus::kBadRequest;
-      respond(conn, response);
+      respond(conn, response, received_at);
       conn.closing = true;
       break;
     }
@@ -324,7 +326,7 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
       response.status = WireStatus::kOk;
       response.answer = readiness == TenantReadiness::kWarm;
     }
-    respond(conn, response);
+    respond(conn, response, received_at);
     return;
   }
   if (frame.flags & RequestFrame::kFlagShutdown) {
@@ -332,15 +334,17 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
     response.request_id = frame.request_id;
     if (config_.allow_shutdown) {
       response.status = WireStatus::kShuttingDown;
-      respond(conn, response);
+      // Raise the flag before the answer leaves: a client that has read
+      // kShuttingDown must already see shutdown_requested().
       shutdown_requested_.store(true, std::memory_order_relaxed);
+      respond(conn, response, received_at);
       std::lock_guard<std::mutex> lock(shutdown_mutex_);
       shutdown_cv_.notify_all();
     } else {
       // The flag is gated: an unauthorized shutdown is a bad request, not
       // an outage.
       response.status = WireStatus::kBadRequest;
-      respond(conn, response);
+      respond(conn, response, received_at);
     }
     return;
   }
@@ -351,15 +355,14 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
     ResponseFrame response;
     response.request_id = frame.request_id;
     response.status = WireStatus::kOverloaded;
-    respond(conn, response);
+    respond(conn, response, received_at);
     return;
   }
   conn.inflight += 1;
   // The callback runs on an arbitrary engine/router thread (or this one,
-  // synchronously, for rejections): encode there, hand the bytes to the
-  // loop through the sink.  `latency` is observed at enqueue time in
-  // handle_completions via the pre-encoded timestamp closure instead; we
-  // keep it simple and observe here only for synchronous completions.
+  // synchronously, for rejections): it encodes there, observes the frame's
+  // latency, and hands the bytes with their status to the loop through the
+  // sink.
   auto sink = sink_;
   const std::uint64_t conn_id = conn.id;
   const std::uint64_t replica_id = config_.replica_id;
@@ -373,17 +376,17 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
     latency->observe(std::chrono::duration<double, std::micro>(
                          std::chrono::steady_clock::now() - received_at)
                          .count());
-    sink->push(conn_id, std::move(bytes));
+    sink->push(conn_id, response.status, std::move(bytes));
   });
 }
 
 void Server::handle_completions() {
-  std::vector<std::pair<std::uint64_t, std::string>> ready;
+  std::vector<Sink::Completion> ready;
   {
     std::lock_guard<std::mutex> lock(sink_->mutex);
     ready.swap(sink_->ready);
   }
-  for (auto& [conn_id, bytes] : ready) {
+  for (auto& [conn_id, status, bytes] : ready) {
     if (bytes.empty()) continue;  // stop() wake marker
     const auto it = connections_.find(conn_id);
     if (it == connections_.end()) {
@@ -393,27 +396,22 @@ void Server::handle_completions() {
     }
     Connection& conn = it->second;
     if (conn.inflight > 0) conn.inflight -= 1;
-    // Routed completions carry a decoded status in their bytes; recover it
-    // for the status counters without re-decoding: byte 10..11 is status.
-    ResponseFrame response;
-    try {
-      (void)decode(bytes, response);
-      count_status(response.status);
-    } catch (const WireDecodeError&) {
-      // Unreachable: we encoded these bytes ourselves.
-    }
+    count_status(status);
     conn.outbuf.append(bytes);
     flush(conn);
     update_write_interest(conn);
   }
 }
 
-void Server::respond(Connection& conn, const ResponseFrame& response) {
+void Server::respond(Connection& conn, const ResponseFrame& response,
+                     std::chrono::steady_clock::time_point received_at) {
   ResponseFrame attributed = response;
   attributed.replica_id = config_.replica_id;
   encode(attributed, conn.outbuf);
   count_status(response.status);
-  frame_latency_us_->observe(0.0);
+  frame_latency_us_->observe(std::chrono::duration<double, std::micro>(
+                                 std::chrono::steady_clock::now() - received_at)
+                                 .count());
   flush(conn);
   update_write_interest(conn);
 }

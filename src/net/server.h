@@ -41,9 +41,10 @@
 ///
 /// Threading: the event loop owns all connection state (buffers, in-flight
 /// counts); engine threads never touch it.  Completions are marshalled —
-/// the router callback encodes the response, appends it to a mutex-guarded
-/// ready list, and signals an eventfd the loop polls; the loop moves bytes
-/// onto the connection's write buffer.  A completion for a connection that
+/// the router callback encodes the response, appends the bytes and their
+/// status to a mutex-guarded ready list, and signals an eventfd the loop
+/// polls; the loop counts the status and moves the bytes onto the
+/// connection's write buffer.  A completion for a connection that
 /// died in the meantime is dropped by id lookup, never a dangling write.
 ///
 /// Malformed frames (typed `WireDecodeError`) get a best-effort kBadRequest
@@ -143,14 +144,21 @@ class Server {
   /// Completion mailbox shared with router callbacks; outlives the server
   /// if engine threads still hold callbacks when it is destroyed.
   struct Sink {
+    /// One encoded response and the status it carries, so the loop can
+    /// count it without decoding the bytes again.
+    struct Completion {
+      std::uint64_t conn_id = 0;
+      WireStatus status = WireStatus::kOk;
+      std::string bytes;
+    };
     std::mutex mutex;
-    std::vector<std::pair<std::uint64_t, std::string>> ready;
+    std::vector<Completion> ready;
     int event_fd = -1;
     bool closed = false;
     ~Sink();
     /// Appends pre-encoded response bytes for connection `conn_id` and
     /// wakes the loop; no-op once closed.
-    void push(std::uint64_t conn_id, std::string bytes);
+    void push(std::uint64_t conn_id, WireStatus status, std::string bytes);
   };
 
   void event_loop();
@@ -160,8 +168,10 @@ class Server {
   void handle_completions();
   void handle_frame(Connection& conn, const RequestFrame& frame,
                     std::chrono::steady_clock::time_point received_at);
-  /// Encodes + queues a response on the loop thread and counts its status.
-  void respond(Connection& conn, const ResponseFrame& response);
+  /// Encodes + queues a response on the loop thread, counts its status, and
+  /// observes its latency since the frame was read at `received_at`.
+  void respond(Connection& conn, const ResponseFrame& response,
+               std::chrono::steady_clock::time_point received_at);
   void count_status(WireStatus status);
   void flush(Connection& conn);
   void update_write_interest(Connection& conn);

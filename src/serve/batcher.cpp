@@ -1,6 +1,7 @@
 #include "serve/batcher.h"
 
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 namespace lcaknap::serve {
@@ -9,46 +10,23 @@ Batcher::Batcher(const BatcherConfig& config) : config_(config) {
   if (config.max_batch_size == 0) {
     throw std::invalid_argument("Batcher: max_batch_size must be >= 1");
   }
-  if (config.max_linger.count() < 0) {
-    throw std::invalid_argument("Batcher: max_linger must be >= 0");
-  }
 }
 
-void Batcher::add(Request&& request, Clock::time_point now,
-                  std::vector<Batch>& ready) {
-  auto [it, inserted] = open_.try_emplace(request.item);
-  Batch& batch = it->second;
-  if (inserted) {
-    batch.item = request.item;
-    batch.opened_at = now;
-  }
-  batch.requests.push_back(std::move(request));
-  ++pending_;
-  if (batch.requests.size() >= config_.max_batch_size) {
-    pending_ -= batch.requests.size();
-    ready.push_back(std::move(batch));
-    open_.erase(it);
-  }
-}
-
-void Batcher::collect_expired(Clock::time_point now, std::vector<Batch>& ready) {
-  for (auto it = open_.begin(); it != open_.end();) {
-    if (now - it->second.opened_at >= config_.max_linger) {
-      pending_ -= it->second.requests.size();
-      ready.push_back(std::move(it->second));
-      it = open_.erase(it);
-    } else {
-      ++it;
+void Batcher::group(std::deque<Request>& backlog,
+                    std::vector<Batch>& ready) const {
+  // item -> index in `ready` of the batch still taking that item's requests
+  std::unordered_map<std::size_t, std::size_t> open;
+  for (auto& request : backlog) {
+    auto [slot, fresh] = open.try_emplace(request.item, ready.size());
+    if (!fresh &&
+        ready[slot->second].requests.size() >= config_.max_batch_size) {
+      slot->second = ready.size();  // full: this request opens the next batch
+      fresh = true;
     }
+    if (fresh) ready.push_back(Batch{request.item, {}});
+    ready[slot->second].requests.push_back(std::move(request));
   }
-}
-
-void Batcher::flush_all(std::vector<Batch>& ready) {
-  for (auto& [item, batch] : open_) {
-    pending_ -= batch.requests.size();
-    ready.push_back(std::move(batch));
-  }
-  open_.clear();
+  backlog.clear();
 }
 
 }  // namespace lcaknap::serve

@@ -1,9 +1,8 @@
 #ifndef LCAKNAP_SERVE_BATCHER_H
 #define LCAKNAP_SERVE_BATCHER_H
 
-#include <chrono>
 #include <cstddef>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "serve/request.h"
@@ -13,30 +12,30 @@
 ///
 /// Every request for the same item has, by Definition 2.3, the same answer:
 /// the membership rule is a deterministic function of the shared seed.  The
-/// batcher exploits that by holding requests briefly and grouping them per
-/// item, so a burst of duplicate hot-key queries costs ONE LCA evaluation
-/// (one oracle read) regardless of fan-in.  A batch closes when it reaches
-/// `max_batch_size` or when it has lingered `max_linger` since its first
-/// request — the classic throughput/latency dial.
+/// batcher exploits that by grouping one drained backlog per item, so a
+/// burst of duplicate hot-key queries that piled up while the dispatcher was
+/// busy costs ONE LCA evaluation (one oracle read) regardless of fan-in.
 ///
-/// The batcher is a single-owner component: the engine's dispatcher thread
-/// is its only caller, so it carries no locking of its own (the queue in
-/// front of it is the concurrency boundary).
+/// Grouping never waits: the batcher sees only what already queued, and no
+/// batch stays open past the call that formed it.  A lone request becomes a
+/// batch of one and is dispatched at once; duplicates collapse exactly when
+/// they arrive faster than the dispatcher drains them, which is when
+/// collapsing pays.
+///
+/// The batcher holds only its configuration, so it needs no locking (the
+/// queue in front of it is the concurrency boundary).
 
 namespace lcaknap::serve {
 
 struct BatcherConfig {
-  /// Batch closes at this many requests.  1 disables grouping.
+  /// A backlog's requests for one item split into batches of at most this
+  /// many.  1 disables grouping.
   std::size_t max_batch_size = 64;
-  /// Batch closes this long after its first request.  0 closes every batch
-  /// on the next `collect_expired` sweep.
-  std::chrono::microseconds max_linger{200};
 };
 
-/// A closed group of same-item requests, evaluated as one unit.
+/// A group of same-item requests, evaluated as one unit.
 struct Batch {
   std::size_t item = 0;
-  Clock::time_point opened_at{};
   std::vector<Request> requests;
 };
 
@@ -44,27 +43,14 @@ class Batcher {
  public:
   explicit Batcher(const BatcherConfig& config);
 
-  Batcher(const Batcher&) = delete;
-  Batcher& operator=(const Batcher&) = delete;
-
-  /// Files `request` under its item; appends to `ready` any batch this
-  /// closes (a full one for this item).
-  void add(Request&& request, Clock::time_point now, std::vector<Batch>& ready);
-
-  /// Closes every open batch whose linger window has passed.
-  void collect_expired(Clock::time_point now, std::vector<Batch>& ready);
-
-  /// Closes every open batch regardless of age (drain path).
-  void flush_all(std::vector<Batch>& ready);
-
-  /// Requests currently held in open batches.
-  [[nodiscard]] std::size_t pending() const noexcept { return pending_; }
-  [[nodiscard]] const BatcherConfig& config() const noexcept { return config_; }
+  /// Moves every request of `backlog` into batches appended to `ready`:
+  /// one per item, split at `max_batch_size`, ordered by each batch's first
+  /// request.  Within a batch, requests keep their arrival order.  Leaves
+  /// `backlog` empty; an empty backlog appends nothing.
+  void group(std::deque<Request>& backlog, std::vector<Batch>& ready) const;
 
  private:
   BatcherConfig config_;
-  std::unordered_map<std::size_t, Batch> open_;  // item -> open batch
-  std::size_t pending_ = 0;
 };
 
 }  // namespace lcaknap::serve

@@ -14,8 +14,8 @@
 namespace lcaknap::serve {
 
 std::vector<double> serve_latency_buckets() {
-  // 0.5 us up by factor 2: cache hits land in the bottom buckets, linger-
-  // bounded batches mid-range, deadline-scale tails at the top (~0.5 s).
+  // 0.5 us up by factor 2: cache hits land in the bottom buckets, oracle
+  // evaluations mid-range, deadline-scale tails at the top (~0.5 s).
   return metrics::Histogram::exponential_buckets(0.5, 2.0, 20);
 }
 
@@ -327,42 +327,29 @@ Response ServeEngine::submit_wait(std::size_t item) {
 }
 
 void ServeEngine::dispatch_loop() {
-  Batcher batcher(config_.batcher);
-  std::vector<Batch> ready;
+  const Batcher batcher(config_.batcher);
   std::deque<Request> backlog;
-  // Wake at least this often so linger windows close promptly even when the
-  // queue is quiet.
-  const auto poll = std::chrono::microseconds(
-      std::clamp<std::int64_t>(config_.batcher.max_linger.count() / 2, 50, 1000));
-  while (true) {
-    Request request;
-    const bool got = queue_.pop_for(request, poll);
-    if (got) {
-      backlog.push_back(std::move(request));
-      // Under load, take the rest of the backlog in one lock acquisition so
-      // per-request queue overhead stops being the dispatch bottleneck.
-      queue_.pop_all(backlog);
-    }
-    const auto now = Clock::now();
+  std::vector<Batch> ready;
+  // Block until work arrives, take everything that piled up meanwhile in one
+  // lock acquisition, and dispatch it at once.  There is no timer: a lone
+  // request leaves as soon as the dispatcher wakes, and duplicates collapse
+  // whenever they queue up while the dispatcher is busy.  `pop_all` returns
+  // 0 only once drain() closed the queue and everything admitted is out.
+  while (queue_.pop_all(backlog) > 0) {
+    // Shed what expired while queued; the rest keeps its arrival order.
     const std::uint64_t now_us = clock_->now_us();
-    for (auto& pending : backlog) {
-      if (pending.expired(now_us)) {
-        Response response;
-        response.outcome = Outcome::kDeadlineExceeded;
-        finish(pending, response);
-      } else {
-        batcher.add(std::move(pending), now, ready);
-      }
+    const auto expired = std::stable_partition(
+        backlog.begin(), backlog.end(),
+        [now_us](const Request& pending) { return !pending.expired(now_us); });
+    for (auto it = expired; it != backlog.end(); ++it) {
+      Response response;
+      response.outcome = Outcome::kDeadlineExceeded;
+      finish(*it, response);
     }
-    backlog.clear();
-    batcher.collect_expired(now, ready);
+    backlog.erase(expired, backlog.end());
+    batcher.group(backlog, ready);
     dispatch_ready(ready);
     queue_depth_gauge_->set(static_cast<double>(queue_.depth()));
-    if (!got && queue_.closed() && queue_.depth() == 0) {
-      batcher.flush_all(ready);
-      dispatch_ready(ready);
-      return;
-    }
   }
 }
 

@@ -34,14 +34,15 @@
 ///
 /// Request lifecycle:
 ///   submit() ── admission ──> RequestQueue (bounded; full ⇒ kOverloaded)
-///            ── dispatcher ─> Batcher (group by item; linger/size close)
+///            ── dispatcher ─> Batcher (the drained backlog grouped by item,
+///                             split at max_batch_size; never waits)
 ///            ── ThreadPool ─> execute_batch: AnswerCache get → on miss one
 ///                             `answer_from` evaluation (one oracle read) →
 ///                             cache put → fulfil every request's future
 /// Deadlines are checked at dispatch and again at evaluation; expired
 /// requests are shed with kDeadlineExceeded.  `drain()` closes admission,
-/// flushes the batcher, and completes every in-flight request — an admitted
-/// request is never lost.
+/// dispatches the remaining backlog, and completes every in-flight request
+/// — an admitted request is never lost.
 ///
 /// Metrics (see docs/OBSERVABILITY.md): `serve_requests_total{outcome}`,
 /// `serve_batch_size`, `serve_request_latency_us`, `serve_queue_depth`,
@@ -350,7 +351,7 @@ class ServeEngine {
 };
 
 /// Bucket bounds for `serve_request_latency_us` (end-to-end spans: admission
-/// to completion; sub-microsecond cache hits up to long-linger batches).
+/// to completion; sub-microsecond cache hits up to deadline-scale tails).
 [[nodiscard]] std::vector<double> serve_latency_buckets();
 /// Bucket bounds for `serve_batch_size` (1 .. max fan-in, powers of two).
 [[nodiscard]] std::vector<double> serve_batch_size_buckets();

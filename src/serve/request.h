@@ -30,12 +30,12 @@
 /// `util::Clock` (`EngineConfig::clock`): microsecond instants compared
 /// against `clock->now_us()`.  Under a `util::VirtualClock`, wire-level
 /// timeout tests advance time explicitly and shedding becomes deterministic
-/// instead of wall-clock flaky.  (Queue waits and batch linger remain real
-/// time: they are throughput/latency dials, not request semantics.)
+/// instead of wall-clock flaky.  (Queue waits remain real time: they are a
+/// latency cost, not request semantics.)
 
 namespace lcaknap::serve {
 
-/// Engine-wide monotonic clock; deadlines and linger windows use it.
+/// Engine-wide monotonic clock for latency spans (`Request::enqueued_at`).
 using Clock = std::chrono::steady_clock;
 
 /// How a request left the engine.

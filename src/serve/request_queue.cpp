@@ -21,19 +21,9 @@ bool RequestQueue::try_push(Request&& request) {
   return true;
 }
 
-bool RequestQueue::pop_for(Request& out, std::chrono::microseconds wait) {
-  std::unique_lock lock(mutex_);
-  if (!ready_.wait_for(lock, wait, [this] { return closed_ || !queue_.empty(); })) {
-    return false;  // timeout with the queue still open and empty
-  }
-  if (queue_.empty()) return false;  // closed and drained
-  out = std::move(queue_.front());
-  queue_.pop_front();
-  return true;
-}
-
 std::size_t RequestQueue::pop_all(std::deque<Request>& out) {
-  const std::lock_guard lock(mutex_);
+  std::unique_lock lock(mutex_);
+  ready_.wait(lock, [this] { return closed_ || !queue_.empty(); });
   const std::size_t moved = queue_.size();
   if (out.empty()) {
     out.swap(queue_);

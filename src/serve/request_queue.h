@@ -1,7 +1,6 @@
 #ifndef LCAKNAP_SERVE_REQUEST_QUEUE_H
 #define LCAKNAP_SERVE_REQUEST_QUEUE_H
 
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -20,9 +19,10 @@
 /// check at dispatch/evaluation time; see engine.cpp.)
 ///
 /// Any number of producers may push concurrently; any number of consumers
-/// may pop.  `close()` makes the shutdown path race-free: no push is
-/// admitted afterwards, while consumers drain what was already accepted —
-/// the queue never loses an admitted request.
+/// may pop, each blocking until there is work.  `close()` makes the shutdown
+/// path race-free: no push is admitted afterwards, every blocked consumer
+/// wakes, and consumers drain what was already accepted — the queue never
+/// loses an admitted request.
 
 namespace lcaknap::serve {
 
@@ -38,15 +38,12 @@ class RequestQueue {
   /// the request was admitted; on `false` the caller still owns it.
   [[nodiscard]] bool try_push(Request&& request);
 
-  /// Pops the oldest request, waiting up to `wait` for one to arrive.
-  /// Returns false on timeout, or immediately when closed and empty.
-  [[nodiscard]] bool pop_for(Request& out, std::chrono::microseconds wait);
-
-  /// Appends every queued request to `out` without waiting and returns how
-  /// many were moved.  One lock acquisition for the whole backlog — the
-  /// dispatcher uses this after a successful pop so per-request queue
-  /// overhead amortizes away under load.
-  std::size_t pop_all(std::deque<Request>& out);
+  /// Waits until the queue holds a request or is closed, then appends every
+  /// queued request to `out` in arrival order and returns how many were
+  /// moved.  One lock acquisition takes the whole backlog, so per-request
+  /// queue overhead amortizes away under load.  No timeout: returns 0 only
+  /// once the queue is closed and empty.
+  [[nodiscard]] std::size_t pop_all(std::deque<Request>& out);
 
   /// Rejects all future pushes and wakes every waiting consumer.  Already
   /// admitted requests remain poppable.  Idempotent.

@@ -29,8 +29,17 @@ struct CommandResult {
   std::string output;
 };
 
+/// A scratch path private to the running test.  ctest runs every test in its
+/// own process, several at once, so a fixed name under TempDir() would be
+/// shared by concurrent tests that overwrite each other's files.
+std::string test_path(const std::string& name) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." + info->name() +
+         "_" + name;
+}
+
 CommandResult run(const std::string& binary, const std::string& args) {
-  const std::string out_file = ::testing::TempDir() + "fleet_out.txt";
+  const std::string out_file = test_path("fleet_out.txt");
   const std::string command = binary + " " + args + " > " + out_file + " 2>&1";
   const int status = std::system(command.c_str());
   std::ifstream in(out_file);
@@ -55,7 +64,7 @@ bool json_bool(const std::string& json, const std::string& key) {
 }
 
 std::string make_instance() {
-  const std::string path = ::testing::TempDir() + "fleet_drill_instance.txt";
+  const std::string path = test_path("fleet_drill_instance.txt");
   const auto gen = run(
       kCli, "generate --family uncorrelated --n 3000 --seed 11 --out " + path);
   EXPECT_EQ(gen.exit_code, 0) << gen.output;
@@ -68,7 +77,7 @@ TEST(FleetDrill, KillMidStormDrillHoldsEveryInvariant) {
       kFleet, "drill --cli " + kCli + " --in " + instance +
                   " --groups 3 --queries 150 --kill-after 60"
                   " --check-items 24 --eps 0.25 --json --work-dir " +
-                  ::testing::TempDir() + "fleet_drill_kill");
+                  test_path("fleet_drill_kill"));
   ASSERT_EQ(drill.exit_code, 0) << drill.output;
 
   // The last line is the JSON ledger (spawn announcements precede it).
@@ -96,7 +105,7 @@ TEST(FleetDrill, CorruptedShipmentFallsBackToLiveWarmupNotBadAnswers) {
       kFleet, "drill --cli " + kCli + " --in " + instance +
                   " --groups 2 --queries 80 --kill-after 30 --check-items 16"
                   " --eps 0.25 --corrupt-shipment --json --work-dir " +
-                  ::testing::TempDir() + "fleet_drill_corrupt");
+                  test_path("fleet_drill_corrupt"));
   ASSERT_EQ(drill.exit_code, 0) << drill.output;
   const auto json_at = drill.output.rfind("{\"offered\"");
   ASSERT_NE(json_at, std::string::npos) << drill.output;

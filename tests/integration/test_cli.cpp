@@ -30,8 +30,17 @@ struct CommandResult {
   std::string output;
 };
 
+/// A scratch path private to the running test.  ctest runs every test in its
+/// own process, several at once, so a fixed name under TempDir() would be
+/// shared by concurrent tests that overwrite each other's files.
+std::string test_path(const std::string& name) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." + info->name() +
+         "_" + name;
+}
+
 CommandResult run(const std::string& args) {
-  const std::string out_file = ::testing::TempDir() + "cli_out.txt";
+  const std::string out_file = test_path("cli_out.txt");
   const std::string command = kCli + " " + args + " > " + out_file + " 2>&1";
   const int status = std::system(command.c_str());
   std::ifstream in(out_file);
@@ -40,7 +49,7 @@ CommandResult run(const std::string& args) {
   return {WEXITSTATUS(status), buffer.str()};
 }
 
-std::string temp_instance() { return ::testing::TempDir() + "cli_instance.txt"; }
+std::string temp_instance() { return test_path("cli_instance.txt"); }
 
 TEST(Cli, GenerateSolveServeEvalPipeline) {
   const std::string path = temp_instance();
@@ -108,7 +117,7 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
       "--items", "--all", "--flaky", "--retries", "--replicas", "--queries",
       // serve-engine workload + engine
       "--shape", "--zipf-s", "--hot-frac", "--hot-items", "--workers",
-      "--queue-cap", "--batch-max", "--linger-us", "--cache-cap",
+      "--queue-cap", "--batch-max", "--cache-cap",
       "--cache-shards", "--paranoia-every", "--deadline-us",
       // resilience stack
       "--chaos-plan", "--chaos-seed", "--retry-attempts", "--backoff-us",
@@ -135,7 +144,7 @@ TEST(Cli, HelpListsEveryCommandAndFlag) {
 
 TEST(Cli, SnapshotSaveLoadVerifyRoundTrip) {
   const std::string path = temp_instance();
-  const std::string snap = ::testing::TempDir() + "cli_state.snap";
+  const std::string snap = test_path("cli_state.snap");
   std::remove(snap.c_str());
   ASSERT_EQ(run("generate --family uncorrelated --n 2000 --seed 4 --out " +
                 path).exit_code, 0);
@@ -170,8 +179,8 @@ TEST(Cli, SnapshotSaveLoadVerifyRoundTrip) {
 
 TEST(Cli, CertifyThenVerifyLogRoundTrip) {
   const std::string path = temp_instance();
-  const std::string snap = ::testing::TempDir() + "cli_cert.snap";
-  const std::string certs = ::testing::TempDir() + "cli_certs";
+  const std::string snap = test_path("cli_cert.snap");
+  const std::string certs = test_path("cli_certs");
   const std::string context = " --in " + path + " --eps 0.2 --seed 9 --tape 3";
   std::remove(snap.c_str());
   std::system(("rm -rf " + certs).c_str());
@@ -240,7 +249,7 @@ class ServerProcess {
 
  private:
   void start(const std::string& flags, const std::string& tag) {
-    log_ = ::testing::TempDir() + "cli_server_" + tag + ".log";
+    log_ = test_path("cli_server_" + tag + ".log");
     std::remove(log_.c_str());
     const std::string command =
         kCli + " serve " + flags + " > " + log_ + " 2>&1 &";
@@ -330,8 +339,8 @@ TEST(Cli, ServeListenIsolatesAChaosTenant) {
   // The multi-tenant runbook path end-to-end: tenant "noisy" runs under a
   // scripted brownout while tenant "calm" must keep serving ok answers that
   // match a clean single-tenant replica of the same instance.
-  const std::string calm = ::testing::TempDir() + "cli_calm.txt";
-  const std::string noisy = ::testing::TempDir() + "cli_noisy.txt";
+  const std::string calm = test_path("cli_calm.txt");
+  const std::string noisy = test_path("cli_noisy.txt");
   ASSERT_EQ(run("generate --family uncorrelated --n 1500 --seed 6 --out " +
                 calm).exit_code, 0);
   ASSERT_EQ(run("generate --family needle --n 1200 --seed 7 --out " +
@@ -383,7 +392,7 @@ TEST(Cli, ServeListenIsolatesAChaosTenant) {
 
 TEST(Cli, ServeEngineRestoresFromSnapshotDir) {
   const std::string path = temp_instance();
-  const std::string dir = ::testing::TempDir() + "cli_snapdir";
+  const std::string dir = test_path("cli_snapdir");
   const std::string common = " --in " + path +
                              " --eps 0.2 --seed 6 --queries 500 "
                              "--workers 2 --snapshot-dir " + dir +
@@ -413,7 +422,7 @@ TEST(Cli, ServeEngineRestoresFromSnapshotDir) {
 
 TEST(Cli, ServeEngineReplaysAnEpochLog) {
   const std::string path = temp_instance();
-  const std::string log = ::testing::TempDir() + "cli_updates.log";
+  const std::string log = test_path("cli_updates.log");
   ASSERT_EQ(run("generate --family uncorrelated --n 2000 --seed 8 --out " +
                 path).exit_code, 0);
   {

@@ -37,8 +37,17 @@ struct CommandResult {
   std::string output;
 };
 
+/// A scratch path private to the running test.  ctest runs every test in its
+/// own process, several at once, so a fixed name under TempDir() would be
+/// shared by concurrent tests that overwrite each other's files.
+std::string test_path(const std::string& name) {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + info->test_suite_name() + "." + info->name() +
+         "_" + name;
+}
+
 CommandResult run_loadgen(const std::string& args) {
-  const std::string out_file = ::testing::TempDir() + "loadgen_out.txt";
+  const std::string out_file = test_path("loadgen_out.txt");
   const std::string command =
       kLoadgen + " " + args + " > " + out_file + " 2>&1";
   const int status = std::system(command.c_str());
@@ -69,7 +78,6 @@ class LoadgenTraceTest : public ::testing::Test {
     tenant.engine.workers = 2;
     tenant.engine.queue_capacity = 4'096;
     tenant.engine.batcher.max_batch_size = 16;
-    tenant.engine.batcher.max_linger = std::chrono::microseconds(100);
     tenant.engine.cache.capacity = 1'024;
     tenant.engine.cache.shards = 4;
     router_->register_tenant("default", tenant);
@@ -96,7 +104,7 @@ class LoadgenTraceTest : public ::testing::Test {
 };
 
 TEST_F(LoadgenTraceTest, RecordThenReplayRoundTrips) {
-  const std::string trace_path = ::testing::TempDir() + "loadgen_rt.trace";
+  const std::string trace_path = test_path("loadgen_rt.trace");
 
   // Phase 1: record a closed-loop run.  Every sent frame lands in the trace.
   const auto record = run_loadgen(port_arg() +
@@ -145,7 +153,7 @@ TEST_F(LoadgenTraceTest, ReplayUsageErrors) {
   EXPECT_EQ(missing.exit_code, 2) << missing.output;
 
   // An empty (but well-formed) trace cannot drive a run.
-  const std::string empty_path = ::testing::TempDir() + "loadgen_empty.trace";
+  const std::string empty_path = test_path("loadgen_empty.trace");
   util::save_trace_file({}, empty_path);
   const auto empty = run_loadgen(port_arg() + " --trace-replay " + empty_path);
   EXPECT_EQ(empty.exit_code, 1) << empty.output;

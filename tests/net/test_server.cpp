@@ -68,7 +68,6 @@ class ServerTest : public ::testing::Test {
     config.engine.workers = 2;
     config.engine.queue_capacity = 4'096;
     config.engine.batcher.max_batch_size = 16;
-    config.engine.batcher.max_linger = std::chrono::microseconds(100);
     config.engine.cache.capacity = 1'024;
     config.engine.cache.shards = 4;
     return config;
@@ -218,6 +217,30 @@ TEST_F(ServerTest, PerConnectionInflightCapShedsOverloadedNotSilence) {
   EXPECT_EQ(stats.frames_in, kFrames);
   EXPECT_EQ(stats.responses_to_frames(), kFrames);
   EXPECT_EQ(stats.inflight_shed, overloaded);
+}
+
+TEST_F(ServerTest, SynchronousShedsRecordTheirRealLatency) {
+  // With no in-flight room every frame is shed on the loop thread.  Each
+  // shed still took time from read to response, so the frame-latency
+  // histogram must hold one nonzero-summing observation per frame.
+  ServerConfig config;
+  config.max_inflight_per_connection = 0;
+  Stack stack(config);
+  stack.router.register_tenant("a", tenant_config(lca_a_));
+  stack.router.warm_all();
+  stack.start();
+
+  constexpr std::uint64_t kFrames = 50;
+  Client client("127.0.0.1", stack.server->port());
+  for (std::uint64_t q = 0; q < kFrames; ++q) {
+    EXPECT_EQ(client.call(frame_for("a", q, q)).status,
+              WireStatus::kOverloaded);
+  }
+  EXPECT_EQ(stack.server->stats().inflight_shed, kFrames);
+  const auto& latency =
+      stack.registry.histogram("net_frame_latency_us", "", {});
+  EXPECT_EQ(latency.count(), kFrames);
+  EXPECT_GT(latency.sum(), 0.0);
 }
 
 TEST_F(ServerTest, MalformedBytesGetBadRequestThenTeardown) {

@@ -60,7 +60,6 @@ class SessionTest : public ::testing::Test {
     config.engine.workers = 2;
     config.engine.queue_capacity = 4'096;
     config.engine.batcher.max_batch_size = 16;
-    config.engine.batcher.max_linger = std::chrono::microseconds(100);
     config.engine.cache.capacity = 1'024;
     config.engine.cache.shards = 4;
     return config;

@@ -2,17 +2,22 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <deque>
+#include <initializer_list>
 
 namespace lcaknap::serve {
 namespace {
-
-using namespace std::chrono_literals;
 
 Request make_request(std::size_t item) {
   Request r;
   r.item = item;
   return r;
+}
+
+std::deque<Request> backlog_of(std::initializer_list<std::size_t> items) {
+  std::deque<Request> backlog;
+  for (const auto item : items) backlog.push_back(make_request(item));
+  return backlog;
 }
 
 TEST(Batcher, ValidatesConfig) {
@@ -21,98 +26,83 @@ TEST(Batcher, ValidatesConfig) {
   EXPECT_THROW(Batcher{bad}, std::invalid_argument);
 }
 
-TEST(Batcher, ClosesBatchAtMaxSize) {
-  BatcherConfig config;
-  config.max_batch_size = 3;
-  config.max_linger = 1h;  // never expires in this test
-  Batcher batcher(config);
+TEST(Batcher, DuplicatesInOneBacklogBecomeOneBatch) {
+  const Batcher batcher(BatcherConfig{});
+  auto backlog = backlog_of({42, 42, 42, 42});
   std::vector<Batch> ready;
-  const auto now = Clock::now();
-  batcher.add(make_request(42), now, ready);
-  batcher.add(make_request(42), now, ready);
-  EXPECT_TRUE(ready.empty());
-  EXPECT_EQ(batcher.pending(), 2u);
-  batcher.add(make_request(42), now, ready);
+  batcher.group(backlog, ready);
   ASSERT_EQ(ready.size(), 1u);
   EXPECT_EQ(ready[0].item, 42u);
+  EXPECT_EQ(ready[0].requests.size(), 4u);
+  EXPECT_TRUE(backlog.empty());
+}
+
+TEST(Batcher, ClosesBatchAtMaxSize) {
+  // A backlog splits at max_batch_size: 7 duplicates at size 3 → 3 + 3 + 1.
+  BatcherConfig config;
+  config.max_batch_size = 3;
+  const Batcher batcher(config);
+  auto backlog = backlog_of({42, 42, 42, 42, 42, 42, 42});
+  std::vector<Batch> ready;
+  batcher.group(backlog, ready);
+  ASSERT_EQ(ready.size(), 3u);
+  for (const auto& batch : ready) EXPECT_EQ(batch.item, 42u);
   EXPECT_EQ(ready[0].requests.size(), 3u);
-  EXPECT_EQ(batcher.pending(), 0u);
+  EXPECT_EQ(ready[1].requests.size(), 3u);
+  EXPECT_EQ(ready[2].requests.size(), 1u);
 }
 
 TEST(Batcher, GroupsByItemIndex) {
+  const Batcher batcher(BatcherConfig{});
+  auto backlog = backlog_of({1, 2, 1, 3, 2, 1});
+  std::vector<Batch> ready;
+  batcher.group(backlog, ready);
+  ASSERT_EQ(ready.size(), 3u);
+  std::size_t total = 0;
+  for (const auto& batch : ready) {
+    for (const auto& request : batch.requests) {
+      EXPECT_EQ(request.item, batch.item);  // no batch mixes items
+    }
+    total += batch.requests.size();
+  }
+  EXPECT_EQ(total, 6u);  // every request lands in exactly one batch
+}
+
+TEST(Batcher, BatchesComeOutInFirstArrivalOrder) {
+  // Batches are ordered by their first request; a split batch's remainder
+  // sits where its first overflowing request arrived.
   BatcherConfig config;
   config.max_batch_size = 2;
-  config.max_linger = 1h;
-  Batcher batcher(config);
+  const Batcher batcher(config);
+  auto backlog = backlog_of({7, 3, 7, 9, 7, 3});
   std::vector<Batch> ready;
-  const auto now = Clock::now();
-  batcher.add(make_request(1), now, ready);
-  batcher.add(make_request(2), now, ready);
-  EXPECT_TRUE(ready.empty());  // different items, neither batch full
-  batcher.add(make_request(1), now, ready);
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0].item, 1u);
-  EXPECT_EQ(batcher.pending(), 1u);  // item 2 still open
+  batcher.group(backlog, ready);
+  ASSERT_EQ(ready.size(), 4u);
+  EXPECT_EQ(ready[0].item, 7u);
+  EXPECT_EQ(ready[0].requests.size(), 2u);
+  EXPECT_EQ(ready[1].item, 3u);
+  EXPECT_EQ(ready[1].requests.size(), 2u);
+  EXPECT_EQ(ready[2].item, 9u);
+  EXPECT_EQ(ready[3].item, 7u);  // the third 7 overflowed the first batch
+  EXPECT_EQ(ready[3].requests.size(), 1u);
 }
 
-TEST(Batcher, LingerExpiryClosesBatches) {
-  BatcherConfig config;
-  config.max_batch_size = 100;
-  config.max_linger = 500us;
-  Batcher batcher(config);
+TEST(Batcher, EmptyBacklogYieldsNoBatch) {
+  const Batcher batcher(BatcherConfig{});
+  std::deque<Request> backlog;
   std::vector<Batch> ready;
-  const auto t0 = Clock::now();
-  batcher.add(make_request(5), t0, ready);
-  batcher.collect_expired(t0 + 100us, ready);
-  EXPECT_TRUE(ready.empty());  // still inside the linger window
-  batcher.collect_expired(t0 + 600us, ready);
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0].requests.size(), 1u);
-  EXPECT_EQ(batcher.pending(), 0u);
-}
-
-TEST(Batcher, ZeroLingerClosesOnNextSweep) {
-  BatcherConfig config;
-  config.max_batch_size = 100;
-  config.max_linger = 0us;
-  Batcher batcher(config);
-  std::vector<Batch> ready;
-  const auto now = Clock::now();
-  batcher.add(make_request(9), now, ready);
-  batcher.collect_expired(now, ready);
-  EXPECT_EQ(ready.size(), 1u);
-}
-
-TEST(Batcher, FlushAllDrainsEveryOpenBatch) {
-  BatcherConfig config;
-  config.max_batch_size = 100;
-  config.max_linger = 1h;
-  Batcher batcher(config);
-  std::vector<Batch> ready;
-  const auto now = Clock::now();
-  for (std::size_t item = 0; item < 4; ++item) {
-    batcher.add(make_request(item), now, ready);
-    batcher.add(make_request(item), now, ready);
-  }
+  batcher.group(backlog, ready);
   EXPECT_TRUE(ready.empty());
-  EXPECT_EQ(batcher.pending(), 8u);
-  batcher.flush_all(ready);
-  EXPECT_EQ(ready.size(), 4u);
-  std::size_t total = 0;
-  for (const auto& batch : ready) total += batch.requests.size();
-  EXPECT_EQ(total, 8u);
-  EXPECT_EQ(batcher.pending(), 0u);
 }
 
 TEST(Batcher, BatchSizeOneDisablesGrouping) {
   BatcherConfig config;
   config.max_batch_size = 1;
-  Batcher batcher(config);
+  const Batcher batcher(config);
+  auto backlog = backlog_of({3, 3});
   std::vector<Batch> ready;
-  const auto now = Clock::now();
-  batcher.add(make_request(3), now, ready);
-  batcher.add(make_request(3), now, ready);
-  EXPECT_EQ(ready.size(), 2u);  // each request is its own batch, immediately
+  batcher.group(backlog, ready);
+  EXPECT_EQ(ready.size(), 2u);  // each request is its own batch
 }
 
 }  // namespace

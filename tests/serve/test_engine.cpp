@@ -50,7 +50,6 @@ class EngineTest : public ::testing::Test {
     config.workers = 3;
     config.queue_capacity = 4'096;
     config.batcher.max_batch_size = 16;
-    config.batcher.max_linger = 100us;
     config.cache.capacity = 1'024;
     config.cache.shards = 4;
     return config;
@@ -115,7 +114,6 @@ TEST_F(EngineTest, HotTrafficHitsTheCacheAndBatches) {
 TEST_F(EngineTest, DrainLeavesNoLostRequests) {
   metrics::Registry registry;
   auto config = fast_config();
-  config.batcher.max_linger = 5ms;  // leave batches open when drain hits
   ServeEngine engine(*lca_, config, registry);
   std::vector<std::future<Response>> futures;
   for (std::size_t q = 0; q < 500; ++q) {
@@ -277,7 +275,6 @@ TEST_F(EngineTest, DrainUnderPersistentOracleFailureTerminatesEveryRequest) {
   ServeEngine* engine_ptr = nullptr;
   {
     auto config = fast_config();
-    config.batcher.max_linger = 5ms;  // leave batches open when drain hits
     ChaoticEngine chaotic(ChaoticEngine::dead_oracle_plan(), config, registry);
     auto& engine = *chaotic.engine;
     engine_ptr = &engine;

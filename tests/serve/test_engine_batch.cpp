@@ -56,7 +56,6 @@ class EngineBatchEval : public ::testing::Test {
     config.workers = 3;
     config.queue_capacity = 4'096;
     config.batcher.max_batch_size = 16;
-    config.batcher.max_linger = 100us;
     config.cache.capacity = 1'024;
     config.cache.shards = 4;
     return config;

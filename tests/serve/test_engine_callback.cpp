@@ -57,7 +57,6 @@ class EngineCallbackTest : public ::testing::Test {
     config.workers = 3;
     config.queue_capacity = 4'096;
     config.batcher.max_batch_size = 16;
-    config.batcher.max_linger = 100us;
     config.cache.capacity = 1'024;
     config.cache.shards = 4;
     return config;
@@ -103,13 +102,15 @@ TEST_F(EngineCallbackTest, CallbackPathAnswersMatchDirectEvaluation) {
   ServeEngine engine(*lca_, fast_config(), registry);
   constexpr std::size_t kItems = 300;
   std::vector<std::atomic<int>> fired(kItems);
-  std::vector<bool> answers(kItems, false);
+  // One atomic per item: workers finish neighbouring items concurrently, and
+  // a packed std::vector<bool> would have them write the same word.
+  std::vector<std::atomic<bool>> answers(kItems);
   Collector collector;
   collector.expect(kItems);
   for (std::size_t item = 0; item < kItems; ++item) {
     engine.submit(item, [&, item](const Response& response) {
       fired[item].fetch_add(1, std::memory_order_relaxed);
-      answers[item] = response.answer;
+      answers[item].store(response.answer, std::memory_order_relaxed);
       EXPECT_EQ(response.outcome, Outcome::kOk);
       collector.callback()(response);
     });
@@ -118,7 +119,7 @@ TEST_F(EngineCallbackTest, CallbackPathAnswersMatchDirectEvaluation) {
   engine.drain();
   for (std::size_t item = 0; item < kItems; ++item) {
     EXPECT_EQ(fired[item].load(), 1) << "callback fired != once for " << item;
-    EXPECT_EQ(answers[item], lca_->answer_from(engine.run(), item))
+    EXPECT_EQ(answers[item].load(), lca_->answer_from(engine.run(), item))
         << "item " << item;
   }
 }

@@ -40,16 +40,19 @@ TEST(RequestQueue, BoundedAdmission) {
 
 TEST(RequestQueue, PopsInFifoOrder) {
   RequestQueue queue(8);
-  for (std::size_t i = 0; i < 5; ++i) {
+  std::deque<Request> out;
+  for (std::size_t i = 0; i < 3; ++i) {
     ASSERT_TRUE(queue.try_push(make_request(i)));
   }
-  for (std::size_t i = 0; i < 5; ++i) {
-    Request out;
-    ASSERT_TRUE(queue.pop_for(out, 1ms));
-    EXPECT_EQ(out.item, i);
+  ASSERT_EQ(queue.pop_all(out), 3u);
+  for (std::size_t i = 3; i < 5; ++i) {
+    ASSERT_TRUE(queue.try_push(make_request(i)));
   }
-  Request out;
-  EXPECT_FALSE(queue.pop_for(out, 1ms));  // empty: times out
+  ASSERT_EQ(queue.pop_all(out), 2u);
+  ASSERT_EQ(out.size(), 5u);
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(out[i].item, i);
+  queue.close();
+  EXPECT_EQ(queue.pop_all(out), 0u);  // closed and empty: no wait
 }
 
 TEST(RequestQueue, PopAllDrainsTheBacklogInOrder) {
@@ -64,9 +67,12 @@ TEST(RequestQueue, PopAllDrainsTheBacklogInOrder) {
   ASSERT_EQ(backlog.size(), 6u);
   EXPECT_EQ(backlog[0].item, 99u);
   for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(backlog[i + 1].item, i);
-  // Draining an empty queue moves nothing and frees capacity for new pushes.
-  EXPECT_EQ(queue.pop_all(backlog), 0u);
+  // Draining freed capacity for new pushes; once closed, an empty queue
+  // moves nothing.
   EXPECT_TRUE(queue.try_push(make_request(6)));
+  queue.close();
+  EXPECT_EQ(queue.pop_all(backlog), 1u);
+  EXPECT_EQ(queue.pop_all(backlog), 0u);
 }
 
 TEST(RequestQueue, CloseRejectsPushesButDrains) {
@@ -76,19 +82,19 @@ TEST(RequestQueue, CloseRejectsPushesButDrains) {
   EXPECT_TRUE(queue.closed());
   EXPECT_FALSE(queue.try_push(make_request(8)));
   // Admitted work is still poppable after close — nothing admitted is lost.
-  Request out;
-  ASSERT_TRUE(queue.pop_for(out, 1ms));
-  EXPECT_EQ(out.item, 7u);
-  EXPECT_FALSE(queue.pop_for(out, 1ms));  // closed and empty: immediate false
+  std::deque<Request> out;
+  ASSERT_EQ(queue.pop_all(out), 1u);
+  EXPECT_EQ(out.front().item, 7u);
+  EXPECT_EQ(queue.pop_all(out), 0u);  // closed and empty: returns at once
 }
 
 TEST(RequestQueue, CloseWakesBlockedConsumers) {
   RequestQueue queue(4);
   std::atomic<bool> woke{false};
   std::thread consumer([&] {
-    Request out;
-    // Long wait; close() must cut it short.
-    (void)queue.pop_for(out, std::chrono::microseconds(5'000'000));
+    std::deque<Request> out;
+    // No timeout: only close() can end this wait.
+    EXPECT_EQ(queue.pop_all(out), 0u);
     woke.store(true);
   });
   std::this_thread::sleep_for(10ms);
@@ -113,8 +119,13 @@ TEST(RequestQueue, ConcurrentProducersConserveRequests) {
   std::vector<std::thread> consumers;
   for (int t = 0; t < 2; ++t) {
     consumers.emplace_back([&] {
-      Request out;
-      while (queue.pop_for(out, 1ms)) popped.fetch_add(1);
+      // Drain until close(): a consumer that outruns the producers waits
+      // instead of quitting early.
+      std::deque<Request> out;
+      while (queue.pop_all(out) > 0) {
+        popped.fetch_add(static_cast<int>(out.size()));
+        out.clear();
+      }
     });
   }
   for (auto& p : producers) p.join();

@@ -58,7 +58,10 @@ TEST(ThreadPool, WaitIdleRethrowsTaskException) {
 }
 
 TEST(ThreadPool, RethrowFirstKeepsRunningRemainingTasks) {
-  ThreadPool pool(2);
+  // One worker runs the tasks in submission order, so "first" is captured
+  // before "second" runs.  With two, a worker descheduled between throwing
+  // "first" and recording it lets the other capture "second" first.
+  ThreadPool pool(1);
   std::atomic<int> completed{0};
   pool.submit([] { throw std::logic_error("first"); });
   for (int i = 0; i < 50; ++i) {

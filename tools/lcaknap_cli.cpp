@@ -23,7 +23,7 @@
 //   serve-engine --in FILE [--eps E] [--seed S] [--tape T]
 //            [--shape uniform|zipf|hotspot]
 //            [--queries Q] [--zipf-s S] [--hot-frac F] [--hot-items K]
-//            [--workers W] [--queue-cap N] [--batch-max B] [--linger-us L]
+//            [--workers W] [--queue-cap N] [--batch-max B]
 //            [--cache-cap N] [--cache-shards S] [--paranoia-every N]
 //            [--deadline-us D] [--chaos-plan SPEC] [--chaos-seed S]
 //            [--retry-attempts N] [--backoff-us B] [--backoff-max-us M]
@@ -269,8 +269,6 @@ int cmd_serve_listen(const Args& args) {
       static_cast<std::size_t>(args.get_u64("queue-cap", 8'192));
   engine_config.batcher.max_batch_size =
       static_cast<std::size_t>(args.get_u64("batch-max", 64));
-  engine_config.batcher.max_linger =
-      std::chrono::microseconds(args.get_u64("linger-us", 200));
   engine_config.cache.capacity =
       static_cast<std::size_t>(args.get_u64("cache-cap", 1 << 16));
   engine_config.cache.shards =
@@ -697,8 +695,6 @@ int cmd_serve_engine_updates(const Args& args) {
       static_cast<std::size_t>(args.get_u64("queue-cap", 8'192));
   engine_config.batcher.max_batch_size =
       static_cast<std::size_t>(args.get_u64("batch-max", 64));
-  engine_config.batcher.max_linger =
-      std::chrono::microseconds(args.get_u64("linger-us", 200));
   engine_config.cache.capacity =
       static_cast<std::size_t>(args.get_u64("cache-cap", 1 << 16));
   engine_config.cache.shards =
@@ -811,8 +807,6 @@ int cmd_serve_engine(const Args& args) {
       static_cast<std::size_t>(args.get_u64("queue-cap", 8'192));
   engine_config.batcher.max_batch_size =
       static_cast<std::size_t>(args.get_u64("batch-max", 64));
-  engine_config.batcher.max_linger =
-      std::chrono::microseconds(args.get_u64("linger-us", 200));
   engine_config.cache.capacity =
       static_cast<std::size_t>(args.get_u64("cache-cap", 1 << 16));
   engine_config.cache.shards =
@@ -1030,7 +1024,7 @@ void usage() {
       "           [--flaky RATE] [--retries N] [--warmup-threads K]\n"
       "  serve    --listen PORT (--in FILE | --tenants a=fileA,b=fileB)\n"
       "           [--instance-id ID] [--eps E] [--seed S] [--tape T]\n"
-      "           [--workers W] [--queue-cap N] [--batch-max B] [--linger-us L]\n"
+      "           [--workers W] [--queue-cap N] [--batch-max B]\n"
       "           [--cache-cap N] [--cache-shards S] [--deadline-us D]\n"
       "           [--max-conns N] [--conn-inflight N] [--tenant-inflight N]\n"
       "           [--store-capacity N] [--snapshot-dir DIR] [--degrade]\n"
@@ -1043,7 +1037,7 @@ void usage() {
       "  serve-engine --in FILE [--eps E] [--seed S] [--tape T]\n"
       "           [--shape uniform|zipf|hotspot] [--queries Q] [--zipf-s S]\n"
       "           [--hot-frac F] [--hot-items K] [--workers W] [--queue-cap N]\n"
-      "           [--batch-max B] [--linger-us L] [--cache-cap N]\n"
+      "           [--batch-max B] [--cache-cap N]\n"
       "           [--cache-shards S] [--paranoia-every N] [--deadline-us D]\n"
       "           [--chaos-plan SPEC] [--chaos-seed S] [--retry-attempts N]\n"
       "           [--backoff-us B] [--backoff-max-us M] [--retry-budget R]\n"
