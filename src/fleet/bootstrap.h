@@ -19,11 +19,12 @@
 /// worst outcome of a corrupted shipment is the cold-start cost (E21 pins
 /// the good case at <= 10x a local snapshot restore).
 ///
-/// `ship_snapshot` follows the store's own crash-safety discipline: write
-/// the copy to a temp file in the destination directory, fsync, then
-/// atomically rename into place.  A reader that races the shipment sees the
-/// complete old file or the complete new file, never a torn prefix — the
-/// atomic-rename race test in tests/store pins the reader side.
+/// `ship_snapshot` writes the copy to a temp file in the destination
+/// directory, then atomically renames it into place.  A reader that races
+/// the shipment sees the complete old file or the complete new file, never
+/// a torn prefix — the atomic-rename race test in tests/store pins the
+/// reader side.  Nothing is fsynced, so the rename gives atomic visibility
+/// but not durability: a host crash right after a shipment can lose it.
 ///
 /// `wait_ready` polls the wire-level health frame (`RequestFrame::kFlagHealth`,
 /// docs/NETWORKING.md) until every named tenant reports warm.  The probe is
@@ -39,7 +40,7 @@ struct ShipResult {
 };
 
 /// Copies `source_path` into `dest_dir` as `<tenant_id>.snap` (the
-/// StateStore's snapshot naming) via temp file + fsync + atomic rename.
+/// StateStore's snapshot naming) via temp file + atomic rename (no fsync).
 /// Throws std::system_error / std::runtime_error on I/O failure; performs
 /// no content verification — that is deliberately left to the restoring
 /// replica's fingerprint check, which is the trust boundary.

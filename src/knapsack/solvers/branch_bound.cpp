@@ -1,5 +1,6 @@
 #include "knapsack/solvers/branch_bound.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "knapsack/solvers/greedy.h"
@@ -37,20 +38,36 @@ BranchBoundResult branch_bound(const Instance& instance, std::uint64_t node_budg
   std::uint64_t nodes = 0;
   bool truncated = false;
 
-  // Fractional completion bound for the suffix starting at `rank`.
+  // Prefix sums over the efficiency order: prefix_*[r] sums ranks [0, r).
+  std::vector<std::int64_t> prefix_profit(n + 1, 0);
+  std::vector<std::int64_t> prefix_weight(n + 1, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    const Item& it = instance.item(order[r]);
+    prefix_profit[r + 1] = prefix_profit[r] + it.profit;
+    prefix_weight[r + 1] = prefix_weight[r] + it.weight;
+  }
+
+  // Fractional completion bound for the suffix starting at `rank`: take
+  // whole items in efficiency order while they fit, then a fraction of the
+  // first one that does not.  The whole items are found by binary search
+  // over the prefix weights and their profit is one integer sum; while
+  // profit sums stay below 2^53 that equals adding the items one by one in
+  // double, bit for bit.
   const auto upper_bound = [&](std::size_t rank, std::int64_t remaining) {
-    double bound = 0.0;
-    for (std::size_t r = rank; r < n; ++r) {
-      const Item& it = instance.item(order[r]);
-      if (it.weight <= remaining) {
-        remaining -= it.weight;
-        bound += static_cast<double>(it.profit);
-      } else {
-        if (remaining > 0 && it.weight > 0) {
-          bound += static_cast<double>(it.profit) * static_cast<double>(remaining) /
-                   static_cast<double>(it.weight);
-        }
-        break;
+    const std::int64_t fits_below = prefix_weight[rank] + remaining;
+    // First rank past `rank` whose prefix weight exceeds the room left.
+    const auto stop = std::upper_bound(prefix_weight.begin() + rank + 1,
+                                       prefix_weight.end(), fits_below);
+    const auto whole = static_cast<std::size_t>(
+        stop - prefix_weight.begin() - 1);  // ranks [rank, whole) fit whole
+    double bound =
+        static_cast<double>(prefix_profit[whole] - prefix_profit[rank]);
+    if (whole < n) {
+      const Item& it = instance.item(order[whole]);
+      remaining = fits_below - prefix_weight[whole];
+      if (remaining > 0 && it.weight > 0) {
+        bound += static_cast<double>(it.profit) * static_cast<double>(remaining) /
+                 static_cast<double>(it.weight);
       }
     }
     return bound;

@@ -349,6 +349,12 @@ void Server::handle_frame(Connection& conn, const RequestFrame& frame,
     return;
   }
   if (conn.inflight >= config_.max_inflight_per_connection) {
+    // `inflight` drops only when the loop drains the sink, and a read burst
+    // is routed before that drain: collect what has been answered since,
+    // so already-answered frames do not count against the cap.
+    handle_completions();
+  }
+  if (conn.inflight >= config_.max_inflight_per_connection) {
     // Backpressure, synchronously: the frame never touches a queue and the
     // client hears "overloaded" instead of silence.
     inflight_shed_.fetch_add(1, std::memory_order_relaxed);

@@ -28,9 +28,10 @@
 ///   * **accept**: beyond `max_connections`, new connections are closed
 ///     immediately (never left dangling in the backlog);
 ///   * **per-connection in-flight cap**: a connection with
-///     `max_inflight_per_connection` frames outstanding gets kOverloaded
-///     responses, synchronously, without the frame ever touching a queue —
-///     one pipelining-abusive client cannot occupy the engine;
+///     `max_inflight_per_connection` frames still unanswered once the loop
+///     has collected the finished responses gets kOverloaded responses,
+///     synchronously, without the frame ever touching a queue — one
+///     pipelining-abusive client cannot occupy the engine;
 ///   * **per-tenant quota and engine admission**: the router's layers,
 ///     also surfacing as kOverloaded on the wire.
 ///
@@ -136,7 +137,9 @@ class Server {
     std::string inbuf;
     std::string outbuf;
     std::size_t out_offset = 0;   ///< flushed prefix of outbuf
-    std::size_t inflight = 0;     ///< frames routed, response not yet queued
+    /// Frames routed whose response the loop has not yet taken from the
+    /// sink.
+    std::size_t inflight = 0;
     bool closing = false;         ///< flush outbuf, then close
     bool want_write = false;      ///< EPOLLOUT currently armed
   };

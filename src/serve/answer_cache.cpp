@@ -130,127 +130,6 @@ void AnswerCache::put(std::size_t item, const Entry& entry) {
   }
 }
 
-void AnswerCache::get_batch(std::span<const std::size_t> items,
-                            std::vector<std::optional<Hit>>& out) {
-  out.assign(items.size(), std::nullopt);
-  if (items.empty()) return;
-  if (config_.capacity == 0) {
-    misses_.fetch_add(items.size(), std::memory_order_relaxed);
-    misses_total_->inc(items.size());
-    return;
-  }
-  // Group lanes by shard (stable sort keeps same-shard lanes in request
-  // order), then visit each shard's group under one lock acquisition.
-  std::vector<std::pair<std::size_t, std::size_t>> by_shard;  // (shard, lane)
-  by_shard.reserve(items.size());
-  const std::size_t mask = shards_.size() - 1;
-  for (std::size_t l = 0; l < items.size(); ++l) {
-    by_shard.emplace_back(util::mix64(static_cast<std::uint64_t>(items[l])) & mask, l);
-  }
-  std::stable_sort(by_shard.begin(), by_shard.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Hit lanes in visit order; the entry copy is taken under the lock, the
-  // hit numbers are claimed afterwards in one block.
-  std::vector<std::pair<std::size_t, Entry>> hit_lanes;
-  hit_lanes.reserve(items.size());
-  std::size_t miss_count = 0;
-  const std::uint64_t current = generation_.load(std::memory_order_acquire);
-
-  std::size_t g = 0;
-  while (g < by_shard.size()) {
-    const std::size_t shard_id = by_shard[g].first;
-    Shard& shard = *shards_[shard_id];
-    const std::lock_guard lock(shard.mutex);
-    for (; g < by_shard.size() && by_shard[g].first == shard_id; ++g) {
-      const std::size_t lane = by_shard[g].second;
-      const auto it = shard.index.find(items[lane]);
-      if (it == shard.index.end()) {
-        ++miss_count;
-        continue;
-      }
-      if (it->second->second.generation != current) {
-        shard.lru.erase(it->second);
-        shard.index.erase(it);
-        ++miss_count;
-        continue;
-      }
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      hit_lanes.emplace_back(lane, it->second->second);
-    }
-  }
-
-  if (miss_count > 0) {
-    misses_.fetch_add(miss_count, std::memory_order_relaxed);
-    misses_total_->inc(miss_count);
-  }
-  if (!hit_lanes.empty()) {
-    // Claim hit numbers base+1 .. base+k as one block: the batch produces
-    // exactly the paranoia-due count the per-request path would have.
-    const auto base = hits_.fetch_add(hit_lanes.size(), std::memory_order_relaxed);
-    hits_total_->inc(hit_lanes.size());
-    for (std::size_t j = 0; j < hit_lanes.size(); ++j) {
-      const auto hit_no = base + j + 1;
-      const auto& [lane, entry] = hit_lanes[j];
-      Hit hit;
-      hit.answer = entry.answer;
-      hit.paranoia_due = config_.paranoia_every > 0 &&
-                         hit_no % config_.paranoia_every == 0;
-      hit.has_witness = entry.has_witness;
-      hit.large = entry.large;
-      hit.profit = entry.profit;
-      hit.weight = entry.weight;
-      hit.generation = entry.generation;
-      out[lane] = hit;
-    }
-  }
-}
-
-void AnswerCache::put_batch(std::span<const PutItem> puts) {
-  if (config_.capacity == 0 || puts.empty()) return;
-  const std::uint64_t current = generation_.load(std::memory_order_acquire);
-  std::vector<std::pair<std::size_t, std::size_t>> by_shard;  // (shard, idx)
-  by_shard.reserve(puts.size());
-  const std::size_t mask = shards_.size() - 1;
-  for (std::size_t i = 0; i < puts.size(); ++i) {
-    if (puts[i].entry.generation != current) continue;  // superseded epoch
-    by_shard.emplace_back(
-        util::mix64(static_cast<std::uint64_t>(puts[i].item)) & mask, i);
-  }
-  if (by_shard.empty()) return;
-  std::stable_sort(by_shard.begin(), by_shard.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  std::size_t evicted = 0;
-  std::size_t g = 0;
-  while (g < by_shard.size()) {
-    const std::size_t shard_id = by_shard[g].first;
-    Shard& shard = *shards_[shard_id];
-    const std::lock_guard lock(shard.mutex);
-    for (; g < by_shard.size() && by_shard[g].first == shard_id; ++g) {
-      const PutItem& p = puts[by_shard[g].second];
-      const auto it = shard.index.find(p.item);
-      if (it != shard.index.end()) {
-        it->second->second = p.entry;
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        continue;
-      }
-      if (shard.capacity == 0) continue;
-      if (shard.lru.size() >= shard.capacity) {
-        shard.index.erase(shard.lru.back().first);
-        shard.lru.pop_back();
-        ++evicted;
-      }
-      shard.lru.emplace_front(p.item, p.entry);
-      shard.index.emplace(p.item, shard.lru.begin());
-    }
-  }
-  if (evicted > 0) {
-    evictions_.fetch_add(evicted, std::memory_order_relaxed);
-    evictions_total_->inc(evicted);
-  }
-}
-
 void AnswerCache::record_paranoia(bool consistent) {
   paranoia_checks_.fetch_add(1, std::memory_order_relaxed);
   paranoia_checks_total_->inc();

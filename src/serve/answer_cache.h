@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -108,28 +107,6 @@ class AnswerCache {
   void put(std::size_t item, bool answer) {
     put(item, Entry{.answer = answer, .generation = generation()});
   }
-
-  /// One insert of a `put_batch`.
-  struct PutItem {
-    std::size_t item = 0;
-    Entry entry;
-  };
-
-  /// Batch lookup for the vectorized answer path: groups `items` by shard
-  /// and takes each shard mutex ONCE per batch (the per-request path takes
-  /// it once per item), then bulk-updates the counters.  `out[l]` is exactly
-  /// what `get(items[l])` would have returned.  Counter totals — hits,
-  /// misses, and the number of paranoia-due hits per batch — are identical
-  /// to issuing the gets one by one (hit numbers `base+1 ... base+k` are
-  /// claimed as one block, preserving the every-Nth paranoia cadence);
-  /// only *which* lane of a batch draws a given hit number may differ, since
-  /// lanes are visited in shard order rather than request order.
-  void get_batch(std::span<const std::size_t> items,
-                 std::vector<std::optional<Hit>>& out);
-
-  /// Batch insert, same shard-grouped single-lock discipline as `get_batch`;
-  /// equivalent to calling `put` per element in order.
-  void put_batch(std::span<const PutItem> puts);
 
   /// Reports the result of a paranoia re-evaluation (`consistent` = the
   /// recomputed answer matched the cached one).

@@ -94,15 +94,6 @@ ServeEngine::ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
              "1 when the engine adopted a restored warm state instead of "
              "running the warm-up pipeline")
       .set(config_.warm_state != nullptr ? 1.0 : 0.0);
-  batch_eval_us_ = &registry.histogram(
-      "serve_batch_eval_us",
-      "Wall time of one BatchEval gather+classify over a dispatch group's "
-      "cache misses, in microseconds",
-      metrics::Histogram::exponential_buckets(0.5, 2.0, 20));
-  batch_eval_kernel_gauge_ = &registry.gauge(
-      "batch_eval_kernel",
-      "Active batch-eval classify kernel (0 scalar, 1 avx2, 2 avx512; -1 "
-      "batch path disabled)");
   epoch_gauge_ = &registry.gauge(
       "serve_epoch", "Current instance epoch served (0 = static instance)");
   // Epoch 0: the static-instance snapshot every engine starts on.  Its
@@ -110,10 +101,6 @@ ServeEngine::ServeEngine(const core::LcaKp& lca, const EngineConfig& config,
   // `cert_dir/epoch-<id>/` subdirectories.
   epochs_.push_back(
       make_epoch(0, lca, std::move(run), nullptr, config_.cert_dir, registry));
-  batch_eval_kernel_gauge_->set(
-      epochs_.back()->batch_eval != nullptr
-          ? static_cast<double>(epochs_.back()->batch_eval->kernel())
-          : -1.0);
   epoch_gauge_->set(0.0);
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -128,12 +115,6 @@ std::shared_ptr<const ServeEngine::Epoch> ServeEngine::make_epoch(
   epoch->lca = &lca;
   epoch->run = std::move(run);
   epoch->keepalive = std::move(keepalive);
-  if (config_.batch_eval) {
-    // Built after the run is final (warm-up, snapshot, or delta warm-up):
-    // the evaluator precomputes its SoA constants from the warm state and
-    // picks the best kernel this binary AND this CPU support.
-    epoch->batch_eval = std::make_shared<core::BatchEval>(lca, *epoch->run);
-  }
   if (config_.certify) {
     // The log header embeds the snapshot fingerprint of THIS serving
     // context (instance + shared seed + resolved params + tape-seed echo +
@@ -177,8 +158,8 @@ void ServeEngine::advance_epoch(std::uint64_t epoch_id, const core::LcaKp& lca,
     std::filesystem::create_directories(cert_dir);
   }
   // Build the new snapshot before touching anything the request path sees:
-  // traffic keeps flowing under the old epoch while BatchEval rebuilds and
-  // the new certificate log opens.
+  // traffic keeps flowing under the old epoch while the new certificate log
+  // opens.
   auto next = make_epoch(epoch_id, lca, std::move(run), std::move(keepalive),
                          cert_dir, *registry_);
   // Bump the cache generation BEFORE publishing the snapshot.  In the window
@@ -192,10 +173,6 @@ void ServeEngine::advance_epoch(std::uint64_t epoch_id, const core::LcaKp& lca,
     epochs_.push_back(std::move(next));
   }
   epoch_gauge_->set(static_cast<double>(epoch_id));
-  batch_eval_kernel_gauge_->set(
-      snapshot()->batch_eval != nullptr
-          ? static_cast<double>(snapshot()->batch_eval->kernel())
-          : -1.0);
 }
 
 std::uint64_t ServeEngine::epoch() const { return snapshot()->epoch_id; }
@@ -204,12 +181,6 @@ const core::LcaKpRun& ServeEngine::run() const { return *snapshot()->run; }
 
 const cert::CertLog* ServeEngine::cert_log() const {
   return snapshot()->cert_log.get();
-}
-
-core::BatchKernel ServeEngine::batch_kernel() const {
-  const auto snap = snapshot();
-  return snap->batch_eval != nullptr ? snap->batch_eval->kernel()
-                                     : core::BatchKernel::kScalar;
 }
 
 ServeEngine::~ServeEngine() { drain(); }
@@ -369,14 +340,10 @@ void ServeEngine::dispatch_ready(std::vector<Batch>& ready) {
     for (std::size_t i = begin; i < end; ++i) boxed->push_back(std::move(ready[i]));
     pool_.submit([this, boxed] {
       // Capture the epoch snapshot ONCE per dispatch group: every request in
-      // the group evaluates against exactly one epoch's warm state, batch
-      // evaluator, and certificate log, even if advance_epoch runs mid-group.
+      // the group evaluates against exactly one epoch's warm state and
+      // certificate log, even if advance_epoch runs mid-group.
       const auto snap = snapshot();
-      if (snap->batch_eval != nullptr) {
-        execute_batch_group(*boxed, snap);
-      } else {
-        for (auto& batch : *boxed) execute_batch(std::move(batch), snap);
-      }
+      for (auto& batch : *boxed) execute_batch(std::move(batch), snap);
     });
   }
   ready.clear();
@@ -488,150 +455,6 @@ void ServeEngine::execute_batch(Batch batch,
   }
 }
 
-void ServeEngine::execute_batch_group(std::vector<Batch>& group,
-                                      const std::shared_ptr<const Epoch>& snap) {
-  if (group.empty()) return;
-  batch_eval_groups_.fetch_add(1, std::memory_order_relaxed);
-
-  // One lane per batch (a batch is one distinct item plus its requests).
-  std::vector<std::size_t> items;
-  items.reserve(group.size());
-  for (auto& batch : group) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_requests_.fetch_add(batch.requests.size(),
-                                std::memory_order_relaxed);
-    batch_size_->observe(static_cast<double>(batch.requests.size()));
-    items.push_back(batch.item);
-  }
-
-  // Stage 1: one shard-grouped cache lookup for the whole group.
-  std::vector<std::optional<AnswerCache::Hit>> cached;
-  cache_.get_batch(items, cached);
-
-  std::vector<Response> responses(group.size());
-  // Witness per lane for certification (cache entry or fresh evaluation).
-  struct LaneWitness {
-    bool has = false;
-    bool large = false;
-    std::int64_t profit = 0;
-    std::int64_t weight = 0;
-  };
-  std::vector<LaneWitness> witnesses(group.size());
-
-  // Stage 2: hit lanes finish from the cache (zero oracle reads), with the
-  // same paranoia recheck-and-repair the per-request path performs.
-  std::vector<std::size_t> miss_lanes;
-  miss_lanes.reserve(group.size());
-  for (std::size_t lane = 0; lane < group.size(); ++lane) {
-    if (!cached[lane].has_value()) {
-      miss_lanes.push_back(lane);
-      continue;
-    }
-    const AnswerCache::Hit& hit = *cached[lane];
-    Response& response = responses[lane];
-    response.outcome = Outcome::kOk;
-    response.answer = hit.answer;
-    response.cache_hit = true;
-    response.epoch_id = hit.generation;  // the epoch the answer came from
-    witnesses[lane] = LaneWitness{hit.has_witness, hit.large, hit.profit,
-                                  hit.weight};
-    if (hit.paranoia_due && hit.generation == snap->epoch_id) {
-      try {
-        core::LcaKp::AnswerWitness fresh;
-        const bool fresh_answer =
-            snap->lca->answer_with_witness(*snap->run, items[lane], fresh);
-        cache_.record_paranoia(fresh_answer == hit.answer);
-        cache_.put(items[lane],
-                   AnswerCache::Entry{fresh.answer, true, fresh.large,
-                                      fresh.profit, fresh.weight,
-                                      snap->epoch_id});
-        response.answer = fresh_answer;
-        witnesses[lane] =
-            LaneWitness{true, fresh.large, fresh.profit, fresh.weight};
-      } catch (...) {
-        // Best-effort recheck, exactly as in execute_batch.
-      }
-    }
-  }
-
-  // Stage 3: all miss lanes go through one SoA gather+classify.
-  if (!miss_lanes.empty()) {
-    std::vector<std::size_t> miss_items;
-    miss_items.reserve(miss_lanes.size());
-    for (const auto lane : miss_lanes) miss_items.push_back(items[lane]);
-
-    static thread_local core::BatchScratch scratch;
-    const auto eval_start = Clock::now();
-    snap->batch_eval->evaluate(miss_items, scratch);
-    batch_eval_us_->observe(std::chrono::duration<double, std::micro>(
-                                Clock::now() - eval_start)
-                                .count());
-
-    std::vector<AnswerCache::PutItem> puts;
-    puts.reserve(miss_lanes.size());
-    for (std::size_t j = 0; j < miss_lanes.size(); ++j) {
-      const std::size_t lane = miss_lanes[j];
-      Response& response = responses[lane];
-      switch (scratch.status[j]) {
-        case core::LaneStatus::kOk: {
-          const bool answer = scratch.answers[j] != 0;
-          const bool large = scratch.large[j] != 0;
-          response.outcome = Outcome::kOk;
-          response.answer = answer;
-          response.epoch_id = snap->epoch_id;
-          witnesses[lane] = LaneWitness{true, large, scratch.profits[j],
-                                        scratch.weights[j]};
-          puts.push_back(AnswerCache::PutItem{
-              items[lane], AnswerCache::Entry{answer, true, large,
-                                              scratch.profits[j],
-                                              scratch.weights[j],
-                                              snap->epoch_id}});
-          break;
-        }
-        case core::LaneStatus::kUnavailable:
-          // Lane-isolated oracle failure: same degrade-or-error choice as
-          // the per-request path, and degraded answers are never cached.
-          if (config_.degrade) {
-            response.outcome = Outcome::kDegraded;
-            response.answer = degraded_answer(*snap, items[lane]);
-            response.epoch_id = snap->epoch_id;
-          } else {
-            response.outcome = Outcome::kError;
-          }
-          break;
-        case core::LaneStatus::kError:
-          response.outcome = Outcome::kError;
-          break;
-      }
-    }
-    cache_.put_batch(puts);
-  }
-
-  // Stage 4: certify and finish, per batch, same semantics as execute_batch.
-  const std::uint64_t now_us = clock_->now_us();
-  for (std::size_t lane = 0; lane < group.size(); ++lane) {
-    const Response& response = responses[lane];
-    if (snap->cert_log != nullptr && response.outcome == Outcome::kOk) {
-      const LaneWitness& w = witnesses[lane];
-      if (w.has) {
-        certify_answer(*snap, items[lane], w.large, w.profit, w.weight,
-                       response.answer);
-      } else {
-        snap->cert_log->skip();
-      }
-    }
-    for (auto& request : group[lane].requests) {
-      if (response.outcome == Outcome::kOk && request.expired(now_us)) {
-        Response shed;
-        shed.outcome = Outcome::kDeadlineExceeded;
-        finish(request, shed);
-      } else {
-        finish(request, response);
-      }
-    }
-  }
-}
-
 void ServeEngine::certify_answer(const Epoch& snap, std::size_t item,
                                  bool large, std::int64_t profit,
                                  std::int64_t weight, bool answer) noexcept {
@@ -681,7 +504,6 @@ EngineStats ServeEngine::stats() const {
   stats.errors = errors_.load(std::memory_order_relaxed);
   stats.batches = batches_.load(std::memory_order_relaxed);
   stats.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  stats.batch_eval_groups = batch_eval_groups_.load(std::memory_order_relaxed);
   stats.cache_hits = cache_.hits();
   stats.cache_misses = cache_.misses();
   stats.cache_evictions = cache_.evictions();

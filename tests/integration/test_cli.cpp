@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_flags.h"
 #include "net/client.h"
 #include "net/wire.h"
 
@@ -90,6 +91,29 @@ TEST(Cli, UsageErrorsExitOne) {
   EXPECT_EQ(run("solve --in " + path + " --method warp").exit_code, 1);
 }
 
+TEST(Cli, UnknownFlagsAreUsageErrors) {
+  // A removed or misspelled flag must not be silently ignored: the run
+  // would otherwise go ahead with a configuration the caller did not ask
+  // for.
+  const std::string path = temp_instance();
+  ASSERT_EQ(run("generate --family needle --n 100 --out " + path).exit_code, 0);
+  const struct {
+    std::string args;
+    std::string flag;
+  } cases[] = {
+      {"serve-engine --in " + path + " --linger-us 5", "--linger-us"},
+      {"solve --in " + path + " --bogus-flag 5", "--bogus-flag"},
+      {"solve --in " + path + " --bogus-flag=5", "--bogus-flag"},
+  };
+  for (const auto& c : cases) {
+    const auto result = run(c.args);
+    EXPECT_EQ(result.exit_code, 1) << c.args << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage error: unknown flag " + c.flag),
+              std::string::npos)
+        << c.args << "\n" << result.output;
+  }
+}
+
 TEST(Cli, RuntimeErrorsExitTwo) {
   EXPECT_EQ(run("solve --in /nonexistent/file --method greedy").exit_code, 2);
 }
@@ -103,40 +127,21 @@ TEST(Cli, ServeAllSummarizes) {
 }
 
 TEST(Cli, HelpListsEveryCommandAndFlag) {
-  // Help audit: every command and flag the CLI has grown (serving engine,
-  // chaos/resilience, metrics, snapshots) must appear in the usage text, so
-  // an operator can discover it without reading the source.  Update this
-  // pinned list whenever a flag is added — that is the point of the test.
+  // Help audit: every command and every flag the parser accepts must appear
+  // in the usage text, so an operator can discover it without reading the
+  // source.
   const auto help = run("");  // no command prints usage (exit 1)
   ASSERT_EQ(help.exit_code, 1);
-  const char* const expected[] = {
+  const char* const commands[] = {
       "generate", "solve", "serve", "eval", "serve-engine",
       "snapshot <save|load|verify>", "verify-log",
-      // generate / solve / serve / eval
-      "--family", "--n", "--seed", "--out", "--in", "--method", "--eps",
-      "--items", "--all", "--flaky", "--retries", "--replicas", "--queries",
-      // serve-engine workload + engine
-      "--shape", "--zipf-s", "--hot-frac", "--hot-items", "--workers",
-      "--queue-cap", "--batch-max", "--cache-cap",
-      "--cache-shards", "--paranoia-every", "--deadline-us",
-      // resilience stack
-      "--chaos-plan", "--chaos-seed", "--retry-attempts", "--backoff-us",
-      "--backoff-max-us", "--retry-budget", "--breaker", "--degrade",
-      // warm-up + persistence
-      "--warmup-threads", "--tape", "--snap", "--snapshot-dir",
-      "--instance-id",
-      // certification
-      "--certify", "--cert-dir", "--log", "--sample",
-      // network front-end
-      "--listen", "--tenants", "--max-conns", "--conn-inflight",
-      "--tenant-inflight", "--store-capacity", "--chaos-tenant",
-      "--allow-shutdown", "--replica-id",
-      // dynamic instances
-      "--updates", "--update-interval-ms", "--verify-epochs",
-      // global
-      "--metrics",
   };
-  for (const char* const needle : expected) {
+  for (const char* const command : commands) {
+    EXPECT_NE(help.output.find(command), std::string::npos)
+        << "usage text is missing: " << command;
+  }
+  for (const auto flag : lcaknap::cli::kKnownFlags) {
+    const std::string needle = "--" + std::string(flag);
     EXPECT_NE(help.output.find(needle), std::string::npos)
         << "usage text is missing: " << needle;
   }

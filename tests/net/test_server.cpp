@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -117,6 +118,22 @@ RequestFrame frame_for(const std::string& tenant, std::uint64_t id,
   frame.item = item;
   frame.tenant = tenant;
   return frame;
+}
+
+/// A raw loopback connection to `port` (-1 on failure), for tests that must
+/// control exactly which bytes reach the server and when.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  if (::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
 }
 
 /// Polls server stats until quiescent (all decoded frames answered) or the
@@ -243,6 +260,44 @@ TEST_F(ServerTest, SynchronousShedsRecordTheirRealLatency) {
   EXPECT_GT(latency.sum(), 0.0);
 }
 
+TEST_F(ServerTest, AnsweredFramesDoNotCountAgainstTheInflightCap) {
+  // Frames for an unknown tenant are answered during routing, so each
+  // response sits in the completion sink while the rest of the burst is
+  // decoded.  With a cap of one, every later frame of the burst finds the
+  // previous response uncollected: the loop must collect it instead of
+  // shedding an answered frame's successor.
+  ServerConfig config;
+  config.max_inflight_per_connection = 1;
+  Stack stack(config);
+  stack.start();
+
+  constexpr std::uint64_t kFrames = 64;
+  std::string burst;
+  for (std::uint64_t q = 0; q < kFrames; ++q) {
+    encode(frame_for("ghost", q, q), burst);
+  }
+  const int fd = connect_raw(stack.server->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, burst.data(), burst.size(), 0),
+            static_cast<ssize_t>(burst.size()));
+
+  std::string bytes;
+  char chunk[4096];
+  while (bytes.size() < kFrames * encoded_response_size()) {
+    const auto got = ::recv(fd, chunk, sizeof(chunk), 0);
+    ASSERT_GT(got, 0) << "connection closed before every frame was answered";
+    bytes.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  std::size_t offset = 0;
+  for (std::uint64_t q = 0; q < kFrames; ++q) {
+    ResponseFrame response;
+    offset += decode(std::string_view(bytes).substr(offset), response);
+    EXPECT_EQ(response.status, WireStatus::kUnknownTenant) << "frame " << q;
+  }
+  EXPECT_EQ(stack.server->stats().inflight_shed, 0u);
+}
+
 TEST_F(ServerTest, MalformedBytesGetBadRequestThenTeardown) {
   Stack stack;
   stack.router.register_tenant("a", tenant_config(lca_a_));
@@ -251,14 +306,8 @@ TEST_F(ServerTest, MalformedBytesGetBadRequestThenTeardown) {
 
   // Raw socket: the Client refuses to encode malformed frames, which is
   // the point — a hostile peer does not use our encoder.
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(stack.server->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(stack.server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   const std::string garbage = "\xFF\xFF\xFF\xFF never a frame";
   ASSERT_EQ(::send(fd, garbage.data(), garbage.size(), 0),
             static_cast<ssize_t>(garbage.size()));
@@ -294,14 +343,8 @@ TEST_F(ServerTest, AcceptGateClosesConnectionsBeyondCapacity) {
   // Prove the first connection is live before probing the gate.
   EXPECT_EQ(first.call(frame_for("a", 1, 1)).status, WireStatus::kOk);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = connect_raw(stack.server->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(stack.server->port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   char byte;
   // Immediate close at the gate: read hits EOF, never a response.
   EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);

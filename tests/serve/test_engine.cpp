@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -202,6 +204,36 @@ TEST_F(EngineTest, EvaluationFailureYieldsErrorOutcome) {
   EXPECT_EQ(engine.stats().errors, 1u);
   EXPECT_EQ(registry.counter_value("serve_requests_total", {{"outcome", "error"}}),
             1u);
+}
+
+TEST_F(EngineTest, CertificatesFlowFromCacheHitWitnesses) {
+  // The second pass over the same items is all cache hits: their records
+  // must come from the witnesses stored in the cache entries, so no kOk
+  // answer is served uncertified.
+  const std::string cert_dir =
+      ::testing::TempDir() + "EngineTest.CertificatesFlowFromCacheHitWitnesses";
+  std::filesystem::remove_all(cert_dir);
+  std::filesystem::create_directories(cert_dir);
+  metrics::Registry registry;
+  auto config = fast_config();
+  config.certify = true;
+  config.cert_dir = cert_dir;
+  {
+    ServeEngine engine(*lca_, config, registry);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::size_t item = 0; item < 200; ++item) {
+        const auto response = engine.submit_wait(item);
+        ASSERT_EQ(response.outcome, Outcome::kOk);
+        EXPECT_EQ(response.cache_hit, pass == 1) << "item " << item;
+      }
+    }
+    engine.drain();
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.cache_hits, 200u);
+    EXPECT_EQ(stats.cert_records, 400u);
+    EXPECT_EQ(stats.cert_skipped, 0u);
+  }
+  std::filesystem::remove_all(cert_dir);
 }
 
 /// Builds an engine whose oracle path runs through a ChaosAccess over the

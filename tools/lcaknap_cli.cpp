@@ -102,13 +102,16 @@
 #include "util/table.h"
 #include "util/virtual_clock.h"
 
+#include "cli_flags.h"
+
 namespace {
 
 using namespace lcaknap;
 
 /// Minimal --flag value parser; flags are unique and take one value, given
-/// either as `--flag value` or `--flag=value`, except the booleans (`--all`,
-/// `--breaker`, `--degrade`, `--certify`), which take none.
+/// either as `--flag value` or `--flag=value`, except the booleans of
+/// `cli::kBooleanFlags`, which take none.  A flag outside `cli::kKnownFlags`
+/// is a usage error.
 class Args {
  public:
   Args(int argc, char** argv) {
@@ -118,18 +121,20 @@ class Args {
         throw std::invalid_argument("expected --flag, got: " + key);
       }
       key = key.substr(2);
+      std::optional<std::string> value;
       if (const auto eq = key.find('='); eq != std::string::npos) {
-        values_[key.substr(0, eq)] = key.substr(eq + 1);
-        continue;
+        value = key.substr(eq + 1);
+        key.resize(eq);
       }
-      if (key == "all" || key == "breaker" || key == "degrade" ||
-          key == "certify" || key == "allow-shutdown" ||
-          key == "verify-epochs") {
-        values_[key] = "true";
-        continue;
+      if (!cli::is_known_flag(key)) {
+        throw std::invalid_argument("unknown flag --" + key);
       }
-      if (i + 1 >= argc) throw std::invalid_argument("--" + key + " needs a value");
-      values_[key] = argv[++i];
+      if (!value && cli::is_boolean_flag(key)) value = "true";
+      if (!value) {
+        if (i + 1 >= argc) throw std::invalid_argument("--" + key + " needs a value");
+        value = argv[++i];
+      }
+      values_[key] = *value;
     }
   }
 
@@ -653,7 +658,7 @@ core::WorkloadConfig::Shape parse_shape(const std::string& name) {
 /// runs of the same flags produce the same per-epoch accounting.  Every
 /// advance goes through `dyn::EpochedState` (delta warm-up where provably
 /// sound, full re-warm-up otherwise) and `ServeEngine::advance_epoch`
-/// (cache generation bump, fresh BatchEval).  Exit 2 if any response
+/// (cache generation bump).  Exit 2 if any response
 /// arrives attributed to an epoch that was never installed.
 int cmd_serve_engine_updates(const Args& args) {
   for (const char* conflict : {"chaos-plan", "snapshot-dir", "certify"}) {
@@ -1021,7 +1026,8 @@ void usage() {
       "  generate --family NAME --n N [--seed S] [--out FILE]\n"
       "  solve    --in FILE [--method exact|greedy|fptas] [--eps E]\n"
       "  serve    --in FILE [--eps E] [--seed S] (--items i,j,k | --all)\n"
-      "           [--flaky RATE] [--retries N] [--warmup-threads K]\n"
+      "           [--flaky RATE] [--flaky-seed S] [--retries N]\n"
+      "           [--warmup-threads K]\n"
       "  serve    --listen PORT (--in FILE | --tenants a=fileA,b=fileB)\n"
       "           [--instance-id ID] [--eps E] [--seed S] [--tape T]\n"
       "           [--workers W] [--queue-cap N] [--batch-max B]\n"
@@ -1036,6 +1042,7 @@ void usage() {
       "           [--tape T] [--warmup-threads K]\n"
       "  serve-engine --in FILE [--eps E] [--seed S] [--tape T]\n"
       "           [--shape uniform|zipf|hotspot] [--queries Q] [--zipf-s S]\n"
+      "           [--workload-seed S]\n"
       "           [--hot-frac F] [--hot-items K] [--workers W] [--queue-cap N]\n"
       "           [--batch-max B] [--cache-cap N]\n"
       "           [--cache-shards S] [--paranoia-every N] [--deadline-us D]\n"
@@ -1043,7 +1050,7 @@ void usage() {
       "           [--backoff-us B] [--backoff-max-us M] [--retry-budget R]\n"
       "           [--breaker] [--degrade] [--warmup-threads K]\n"
       "           [--snapshot-dir DIR] [--instance-id ID]\n"
-      "           [--certify --cert-dir DIR]\n"
+      "           [--certify --cert-dir DIR [--cert-segment-records N]]\n"
       "           [--updates FILE] [--verify-epochs]\n"
       "  verify-log --log FILE|DIR --snap PATH [--sample K]\n"
       "--warmup-threads parallelizes the one-time warm-up run without\n"
