@@ -23,9 +23,9 @@
 #include "metrics/exporters.h"
 #include "metrics/metrics.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
 #include "oracle/instrumented.h"
 #include "oracle/latency_model.h"
+#include "oracle/retrying.h"
 #include "util/table.h"
 #include "util/virtual_clock.h"
 
@@ -44,10 +44,7 @@ int main(int argc, char** argv) {
   const oracle::MaterializedAccess storage(instance);
   const oracle::InstrumentedAccess counted(storage);
   const oracle::LatencyAccess remote(counted, {/*fixed_us=*/80.0, /*exp_mean_us=*/30.0}, 31);
-  fault::FaultPhase outage;
-  outage.label = "flaky";
-  outage.fail_rate = failure_rate;
-  const fault::ChaosAccess flaky(remote, fault::FaultPlan({outage}, /*seed=*/37));
+  const fault::ChaosAccess flaky(remote, fault::fail_stop_plan(failure_rate, /*seed=*/37));
   const fault::VerifyingAccess verified(flaky);
 
   // Backoff sleeps go through the injected clock, so the example runs in
@@ -115,7 +112,9 @@ int main(int argc, char** argv) {
   lying.corrupt_rate = 0.3;
   const fault::ChaosAccess corrupting(storage, fault::FaultPlan({lying}, /*seed=*/53));
   const fault::VerifyingAccess guard(corrupting);
-  const oracle::RetryingAccess healed(guard, /*max_attempts=*/32);
+  oracle::RetryConfig heal_config;
+  heal_config.max_attempts = 32;
+  const oracle::RetryingAccess healed(guard, heal_config);
   std::size_t wrong = 0;
   for (std::size_t i = 0; i < 1'000; ++i) {
     wrong += healed.query(i) == instance.item(i) ? 0 : 1;

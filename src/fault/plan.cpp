@@ -48,6 +48,13 @@ std::size_t FaultPlan::phase_index_at(std::uint64_t elapsed_us) const noexcept {
   return phases_.size() - 1;  // past the script: hold the last phase
 }
 
+FaultPlan fail_stop_plan(double fail_rate, std::uint64_t seed) {
+  FaultPhase phase;
+  phase.label = "flaky";
+  phase.fail_rate = fail_rate;
+  return FaultPlan({phase}, seed);
+}
+
 std::string FaultPlan::describe() const {
   std::ostringstream os;
   for (std::size_t i = 0; i < phases_.size(); ++i) {

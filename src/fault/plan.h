@@ -78,6 +78,10 @@ class FaultPlan {
   std::uint64_t total_us_ = 0;
 };
 
+/// A one-phase plan that fail-stops a `fail_rate` fraction of calls and holds
+/// forever: a plain flaky oracle (what `lcaknap_cli serve --flaky` runs).
+[[nodiscard]] FaultPlan fail_stop_plan(double fail_rate, std::uint64_t seed);
+
 /// Typed parse failure: carries the 1-based line/column where the offending
 /// token starts and the token itself, so a mistyped plan in a CLI flag or a
 /// chaos-drill script points at the exact spot instead of a bare reason.

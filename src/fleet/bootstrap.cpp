@@ -6,6 +6,7 @@
 
 #include "net/client.h"
 #include "net/wire.h"
+#include "store/snapshot.h"
 
 namespace lcaknap::fleet {
 
@@ -27,27 +28,9 @@ ShipResult ship_snapshot(const std::string& source_path,
   in.close();
 
   const std::string final_path = dest_dir + "/" + tenant_id + ".snap";
-  const std::string temp = final_path + ".ship.tmp";
-  {
-    std::ofstream os(temp, std::ios::binary | std::ios::trunc);
-    if (!os) {
-      throw std::runtime_error("ship_snapshot: cannot write " + temp);
-    }
-    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    os.flush();
-    if (!os) {
-      throw std::runtime_error("ship_snapshot: short write to " + temp);
-    }
-  }
   // Atomic publish: a restoring replica that races this sees the old file
   // or the new file whole, never a torn prefix.
-  std::filesystem::rename(temp, final_path, ec);
-  if (ec) {
-    std::error_code cleanup;
-    std::filesystem::remove(temp, cleanup);
-    throw std::runtime_error("ship_snapshot: rename " + temp + " -> " +
-                             final_path + ": " + ec.message());
-  }
+  store::write_file_atomically(final_path, final_path + ".ship.tmp", bytes);
   return ShipResult{final_path, bytes.size()};
 }
 

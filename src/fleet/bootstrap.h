@@ -40,10 +40,13 @@ struct ShipResult {
 };
 
 /// Copies `source_path` into `dest_dir` as `<tenant_id>.snap` (the
-/// StateStore's snapshot naming) via temp file + atomic rename (no fsync).
-/// Throws std::system_error / std::runtime_error on I/O failure; performs
-/// no content verification — that is deliberately left to the restoring
-/// replica's fingerprint check, which is the trust boundary.
+/// StateStore's snapshot naming) via `store::write_file_atomically` (temp
+/// file + atomic rename, no fsync).  Throws std::runtime_error when the
+/// source cannot be read or `dest_dir` created, and store::SnapshotIoError
+/// when the copy cannot be written or renamed into place (the temp file is
+/// removed first).  Performs no content verification — that is
+/// deliberately left to the restoring replica's fingerprint check, which is
+/// the trust boundary.
 ShipResult ship_snapshot(const std::string& source_path,
                          const std::string& dest_dir,
                          const std::string& tenant_id);

@@ -38,8 +38,9 @@ struct WeightedDraw {
   knapsack::Item item;
 };
 
-/// Thrown by unreliable oracles (see flaky.h) to model a transient failure
-/// of the (conceptually remote) input service.
+/// Thrown by unreliable oracles (see fault/chaos.h) to model a transient
+/// failure of the (conceptually remote) input service; `RetryingAccess`
+/// (retrying.h) absorbs it.
 class OracleUnavailable : public std::exception {
  public:
   [[nodiscard]] const char* what() const noexcept override {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <vector>
@@ -354,31 +353,37 @@ core::LcaKpRun decode_snapshot(std::string_view bytes,
   return run;
 }
 
-void write_snapshot(const std::string& path,
-                    const SnapshotFingerprint& fingerprint,
-                    const core::LcaKpRun& run) {
-  const std::string encoded = encode_snapshot(fingerprint, run);
-  const std::string temp = path + ".tmp";
+void write_file_atomically(const std::string& path, const std::string& temp_path,
+                           std::string_view bytes) {
+  const auto fail = [&temp_path](const std::string& reason) {
+    std::error_code ignored;
+    std::filesystem::remove(temp_path, ignored);
+    throw SnapshotIoError(reason);
+  };
   {
-    std::ofstream os(temp, std::ios::binary | std::ios::trunc);
+    std::ofstream os(temp_path, std::ios::binary | std::ios::trunc);
     if (!os) {
-      throw SnapshotIoError("snapshot: cannot open temp file " + temp);
+      throw SnapshotIoError("snapshot: cannot open temp file " + temp_path);
     }
-    os.write(encoded.data(), static_cast<std::streamsize>(encoded.size()));
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     os.flush();
     if (!os.good()) {
       os.close();
-      std::remove(temp.c_str());
-      throw SnapshotIoError("snapshot: short write to " + temp);
+      fail("snapshot: short write to " + temp_path);
     }
   }
   std::error_code ec;
-  std::filesystem::rename(temp, path, ec);
+  std::filesystem::rename(temp_path, path, ec);
   if (ec) {
-    std::remove(temp.c_str());
-    throw SnapshotIoError("snapshot: rename " + temp + " -> " + path +
-                          " failed: " + ec.message());
+    fail("snapshot: rename " + temp_path + " -> " + path +
+         " failed: " + ec.message());
   }
+}
+
+void write_snapshot(const std::string& path,
+                    const SnapshotFingerprint& fingerprint,
+                    const core::LcaKpRun& run) {
+  write_file_atomically(path, path + ".tmp", encode_snapshot(fingerprint, run));
 }
 
 namespace {

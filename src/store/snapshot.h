@@ -161,10 +161,18 @@ void encode_fingerprint(std::string& out, const SnapshotFingerprint& fp);
 
 // --- file protocol -----------------------------------------------------------
 
-/// Atomic snapshot write: encodes into `path + ".tmp"`, flushes, then
-/// renames over `path`.  A reader concurrent with a crash sees either the
-/// old complete snapshot or the new complete snapshot, never a prefix.
-/// Throws SnapshotIoError on any filesystem failure (the temp is removed).
+/// Publishes `bytes` at `path`: writes them to `temp_path` (which must be
+/// in the same directory), flushes, then renames it over `path`.  A reader
+/// racing the write sees the old complete file or the new complete file,
+/// never a prefix.  Nothing is fsynced, so the rename gives atomic
+/// visibility, not durability: a host crash right after it can lose the
+/// write.  Throws SnapshotIoError on any filesystem failure; a temp file
+/// that was created is removed first.
+void write_file_atomically(const std::string& path, const std::string& temp_path,
+                           std::string_view bytes);
+
+/// Atomic snapshot write: encodes, then `write_file_atomically` through
+/// `path + ".tmp"`.  Throws SnapshotIoError on any filesystem failure.
 void write_snapshot(const std::string& path,
                     const SnapshotFingerprint& fingerprint,
                     const core::LcaKpRun& run);

@@ -45,8 +45,9 @@ struct StateStoreConfig {
   /// Maximum warm states held in memory; beyond it, least-recently-used
   /// tenants are evicted (their snapshots, if any, stay on disk).
   std::size_t capacity = 8;
-  /// Snapshot directory; empty disables persistence (memory-only store).
-  std::string snapshot_dir;
+  /// Snapshot directory; empty (the default) disables persistence
+  /// (memory-only store).
+  std::string snapshot_dir{};
   /// Persist a freshly warmed state to `snapshot_dir` so the next process
   /// (or the next eviction victim) rehydrates instead of re-warming.
   bool persist_after_warmup = true;

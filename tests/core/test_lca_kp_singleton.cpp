@@ -1,6 +1,6 @@
 // End-to-end exercises of LCA-KP's corner branches: the singleton
-// (B_indicator) path on a crafted instance, the eps sweep, the paper's
-// literal constants, and a sharded oracle backend.
+// (B_indicator) path on a crafted instance, the eps sweep, and the paper's
+// literal constants.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,6 @@
 #include "core/mapping_greedy.h"
 #include "knapsack/generators.h"
 #include "oracle/access.h"
-#include "oracle/sharded.h"
 
 namespace lcaknap::core {
 namespace {
@@ -103,51 +102,6 @@ TEST(LcaKpPaperConstants, RunsWithLiteralParameters) {
   util::Xoshiro256 tape(4);
   const auto run = lca.run_pipeline(tape);
   EXPECT_TRUE(evaluate_run(inst, lca, run).feasible);
-}
-
-TEST(LcaKpSharded, RunsAgainstShardedOracle) {
-  const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 10'000, 113);
-  const oracle::ShardedAccess cluster(inst, 8);
-  LcaKpConfig config;
-  config.eps = 0.1;
-  config.seed = 0x5113;
-  config.quantile_samples = 60'000;
-  const LcaKp lca(cluster, config);
-  util::Xoshiro256 tape(5);
-  const auto run = lca.run_pipeline(tape);
-  const auto eval = evaluate_run(inst, lca, run);
-  EXPECT_TRUE(eval.feasible);
-  EXPECT_GT(eval.norm_value, 0.3);
-  // All pipeline traffic went through the shards.
-  std::uint64_t shard_total = 0;
-  for (std::size_t s = 0; s < cluster.shard_count(); ++s) {
-    shard_total += cluster.shard_load(s);
-  }
-  EXPECT_EQ(shard_total, cluster.access_count());
-}
-
-TEST(LcaKpSharded, ShardCountDoesNotChangeTheDistributionOfOutcomes) {
-  // Same instance, same seeds, different shardings: outcomes may differ in
-  // the samples drawn (different RNG consumption) but the solution quality
-  // must be statistically indistinguishable; check both stay feasible and
-  // close in value.
-  const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 10'000, 114);
-  LcaKpConfig config;
-  config.eps = 0.1;
-  config.seed = 0x5114;
-  config.quantile_samples = 60'000;
-  double values[2];
-  std::size_t variant = 0;
-  for (const std::size_t shards : {2UL, 16UL}) {
-    const oracle::ShardedAccess cluster(inst, shards);
-    const LcaKp lca(cluster, config);
-    util::Xoshiro256 tape(6);
-    const auto run = lca.run_pipeline(tape);
-    const auto eval = evaluate_run(inst, lca, run);
-    EXPECT_TRUE(eval.feasible);
-    values[variant++] = eval.norm_value;
-  }
-  EXPECT_NEAR(values[0], values[1], 0.15);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
-// Focused coverage for `generate_workload`, the trace generator both the
-// serving simulator and the concurrent serving engine replay: determinism
-// per seed for every shape, the Zipf-exponent dial behaving monotonically,
-// and hotspot traffic accounting.
+// Focused coverage for `generate_workload`, the trace generator the CLI and
+// the serving benches replay: determinism per seed for every shape, the
+// Zipf-exponent dial behaving monotonically, and hotspot traffic
+// accounting.
 
-#include "core/serving_sim.h"
+#include "core/workload.h"
 
 #include <gtest/gtest.h>
 
@@ -14,7 +14,11 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/lca_kp.h"
+#include "knapsack/generators.h"
+#include "oracle/access.h"
 #include "util/request_trace.h"
+#include "util/rng.h"
 
 namespace lcaknap::core {
 namespace {
@@ -178,6 +182,104 @@ TEST(Workload, HotspotClampsHotSetToInstanceSize) {
   config.hotspot_items = 64;  // larger than the instance
   const auto trace = generate_workload(10, config);
   for (const auto i : trace) EXPECT_LT(i, 10u);
+}
+
+TEST(Workload, UniformCoversTheIndexSpace) {
+  WorkloadConfig config;
+  config.queries = 50'000;
+  const auto trace = generate_workload(100, config);
+  ASSERT_EQ(trace.size(), 50'000u);
+  std::map<std::size_t, std::size_t> counts;
+  for (const auto i : trace) {
+    ASSERT_LT(i, 100u);
+    ++counts[i];
+  }
+  EXPECT_EQ(counts.size(), 100u);
+  for (const auto& [item, count] : counts) {
+    EXPECT_NEAR(static_cast<double>(count), 500.0, 150.0);
+  }
+}
+
+TEST(Workload, ZipfIsHeavilySkewed) {
+  WorkloadConfig config;
+  config.shape = WorkloadConfig::Shape::kZipf;
+  config.queries = 50'000;
+  config.zipf_s = 1.2;
+  const auto trace = generate_workload(10'000, config);
+  std::map<std::size_t, std::size_t> counts;
+  for (const auto i : trace) ++counts[i];
+  std::vector<std::size_t> sorted;
+  for (const auto& [item, count] : counts) sorted.push_back(count);
+  std::sort(sorted.rbegin(), sorted.rend());
+  // The top item dominates; the top 10 carry a large share.
+  std::size_t top10 = 0;
+  for (std::size_t k = 0; k < std::min<std::size_t>(10, sorted.size()); ++k) {
+    top10 += sorted[k];
+  }
+  EXPECT_GT(static_cast<double>(top10) / 50'000.0, 0.4);
+}
+
+TEST(Workload, HotspotRoutesTheConfiguredFraction) {
+  WorkloadConfig config;
+  config.shape = WorkloadConfig::Shape::kHotspot;
+  config.queries = 50'000;
+  config.hotspot_fraction = 0.8;
+  config.hotspot_items = 4;
+  const auto trace = generate_workload(100'000, config);
+  std::map<std::size_t, std::size_t> counts;
+  for (const auto i : trace) ++counts[i];
+  std::vector<std::size_t> sorted;
+  for (const auto& [item, count] : counts) sorted.push_back(count);
+  std::sort(sorted.rbegin(), sorted.rend());
+  std::size_t top4 = 0;
+  for (std::size_t k = 0; k < std::min<std::size_t>(4, sorted.size()); ++k) {
+    top4 += sorted[k];
+  }
+  EXPECT_NEAR(static_cast<double>(top4) / 50'000.0, 0.8, 0.05);
+}
+
+TEST(Workload, DeterministicPerSeedAndValidates) {
+  WorkloadConfig config;
+  config.queries = 100;
+  EXPECT_EQ(generate_workload(50, config), generate_workload(50, config));
+  EXPECT_THROW(generate_workload(0, config), std::invalid_argument);
+  config.shape = WorkloadConfig::Shape::kZipf;
+  config.zipf_s = 0.0;
+  EXPECT_THROW(generate_workload(50, config), std::invalid_argument);
+  config.shape = WorkloadConfig::Shape::kHotspot;
+  config.hotspot_items = 0;
+  EXPECT_THROW(generate_workload(50, config), std::invalid_argument);
+}
+
+TEST(Workload, SkewedWorkloadsServeTheSameSolution) {
+  // The served solution does not depend on the query distribution (the rule
+  // is fixed per run); only traffic shape changes.  Two shared-seed replicas
+  // agree on nearly every query of a uniform and of a Zipf trace alike.
+  const auto inst = knapsack::make_family(knapsack::Family::kNeedle, 5'000, 83);
+  const oracle::MaterializedAccess access(inst);
+  LcaKpConfig lca_config;
+  lca_config.eps = 0.1;
+  lca_config.seed = 0x5E21;
+  lca_config.quantile_samples = 40'000;
+  const LcaKp lca(access, lca_config);
+  util::Xoshiro256 tape_a(1);
+  util::Xoshiro256 tape_b(2);
+  const auto run_a = lca.run_pipeline(tape_a);
+  const auto run_b = lca.run_pipeline(tape_b);
+  WorkloadConfig uniform;
+  uniform.queries = 3'000;
+  WorkloadConfig zipf = uniform;
+  zipf.shape = WorkloadConfig::Shape::kZipf;
+  for (const auto& workload : {uniform, zipf}) {
+    std::size_t agree = 0;
+    const auto trace = generate_workload(inst.size(), workload);
+    for (const auto item : trace) {
+      const double p = inst.norm_profit(item);
+      const double e = inst.efficiency(item);
+      agree += lca.decide(run_a, item, p, e) == lca.decide(run_b, item, p, e) ? 1 : 0;
+    }
+    EXPECT_GE(static_cast<double>(agree) / static_cast<double>(trace.size()), 0.9);
+  }
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "cert/cert_log.h"
 #include "cert/verifier.h"
 #include "core/lca_kp.h"
-#include "core/serving_sim.h"
 #include "dyn/epoch_state.h"
 #include "fault/chaos.h"
 #include "fault/circuit_breaker.h"
@@ -27,15 +26,14 @@
 #include "net/server.h"
 #include "net/session.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
 #include "oracle/instrumented.h"
-#include "oracle/sharded.h"
+#include "oracle/retrying.h"
 #include "serve/engine.h"
 #include "store/snapshot.h"
 #include "store/state_store.h"
 #include "util/virtual_clock.h"
 
-/// Docs lint (ISSUE 6 satellite): the documentation is part of the operator
+/// Docs lint: the documentation is part of the operator
 /// contract, so CI holds it to two machine-checkable invariants:
 ///
 ///  1. every metric family the serving stack can export has a row in
@@ -74,20 +72,17 @@ TEST(DocsLint, EveryExportedMetricFamilyHasACatalogueRow) {
 
   // Instantiate (and lightly exercise) every metric-producing component so
   // each family registers.  This test binary owns the global registry:
-  // everything below lands there, including simulate_serving's families.
+  // everything below lands there.
   auto& registry = metrics::global_registry();
   const auto inst =
       knapsack::make_family(knapsack::Family::kUncorrelated, 300, 4);
   const oracle::MaterializedAccess storage(inst);
-  const oracle::InstrumentedAccess instrumented(
-      storage, registry, oracle::LatencyModel{});  // + oracle_access_latency_us
-  const oracle::FlakyAccess flaky(instrumented, 0.01, 0xF1A, registry);
-  const oracle::RetryingAccess retrying(flaky, oracle::RetryConfig{},
-                                        util::system_clock(), registry);
-  const oracle::ShardedAccess sharded(inst, 4, registry);
+  const oracle::InstrumentedAccess instrumented(storage, registry);
   const fault::ChaosAccess chaos(
       instrumented, fault::parse_fault_plan("steady:0", 1),
       util::system_clock(), /*armed=*/false, registry);
+  const oracle::RetryingAccess retrying(chaos, oracle::RetryConfig{},
+                                        util::system_clock(), registry);
   const fault::VerifyingAccess verifying(chaos, registry);
   const fault::BreakerAccess breaker(instrumented, fault::CircuitBreakerConfig{},
                                      util::system_clock(), registry);
@@ -164,14 +159,6 @@ TEST(DocsLint, EveryExportedMetricFamilyHasACatalogueRow) {
     const dyn::EpochedState epoched(
         knapsack::make_family(knapsack::Family::kUncorrelated, 200, 5),
         dyn_config, registry);
-  }
-  {
-    core::ServingConfig serving;
-    serving.lca = lca_config;
-    serving.replicas = 1;
-    core::WorkloadConfig workload;
-    workload.queries = 20;
-    (void)core::simulate_serving(inst, serving, workload, nullptr);
   }
   std::filesystem::remove_all(tmp);
 

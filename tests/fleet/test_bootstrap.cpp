@@ -14,6 +14,7 @@
 #include "net/server.h"
 #include "net/session.h"
 #include "oracle/access.h"
+#include "store/snapshot.h"
 #include "store/state_store.h"
 #include "util/virtual_clock.h"
 
@@ -151,6 +152,19 @@ TEST_F(BootstrapTest, ShipAndCorruptFailuresAreTyped) {
   const auto empty = (dir_ / "empty.snap").string();
   { std::ofstream os(empty, std::ios::binary); }
   EXPECT_THROW(corrupt_snapshot_byte(empty, 0), std::exception);
+}
+
+TEST_F(BootstrapTest, FailedRenameThrowsTypedAndLeavesNoTempFile) {
+  const auto source = (dir_ / "source" / "tenant-a.snap").string();
+  { std::ofstream(source, std::ios::binary) << "snapshot bytes"; }
+  // The destination name is taken by a non-empty directory, so the rename
+  // that publishes the shipment fails after the temp file was written.
+  const auto blocked = dir_ / "dest" / "tenant-a.snap";
+  std::filesystem::create_directories(blocked / "occupied");
+  EXPECT_THROW(ship_snapshot(source, (dir_ / "dest").string(), "tenant-a"),
+               store::SnapshotIoError);
+  EXPECT_FALSE(std::filesystem::exists(dir_ / "dest" / "tenant-a.snap.ship.tmp"));
+  EXPECT_TRUE(std::filesystem::is_directory(blocked / "occupied"));
 }
 
 TEST_F(BootstrapTest, WaitReadyTracksTheHydrationStateMachine) {

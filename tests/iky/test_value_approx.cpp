@@ -17,8 +17,8 @@ TEST(CouponCollectorSamples, MatchesLemma42) {
   const auto base = static_cast<double>(coupon_collector_samples(delta, 1));
   EXPECT_NEAR(base, std::ceil(6.0 / delta * (std::log(1.0 / delta) + 1.0)), 1.0);
   EXPECT_EQ(coupon_collector_samples(delta, 3), 3 * coupon_collector_samples(delta, 1));
-  EXPECT_THROW(coupon_collector_samples(0.0), std::invalid_argument);
-  EXPECT_THROW(coupon_collector_samples(0.5, 0), std::invalid_argument);
+  EXPECT_THROW((void)coupon_collector_samples(0.0), std::invalid_argument);
+  EXPECT_THROW((void)coupon_collector_samples(0.5, 0), std::invalid_argument);
 }
 
 class ValueApproxFamily : public ::testing::TestWithParam<knapsack::Family> {};
@@ -103,7 +103,7 @@ TEST(ValueApprox, RejectsBadEps) {
   util::Xoshiro256 rng(28);
   ValueApproxConfig config;
   config.eps = 0.0;
-  EXPECT_THROW(approximate_opt_value(access, config, rng), std::invalid_argument);
+  EXPECT_THROW((void)approximate_opt_value(access, config, rng), std::invalid_argument);
 }
 
 TEST(ValueApprox, EstimateIsNonNegativeAndAtMostOne) {

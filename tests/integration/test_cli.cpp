@@ -126,6 +126,64 @@ TEST(Cli, ServeAllSummarizes) {
   EXPECT_NE(serve.output.find("answered 800 queries"), std::string::npos);
 }
 
+/// The value of the first sample line of `series` (exact name and labels)
+/// in a Prometheus scrape, or -1 when the scrape has no such line.
+double prom_value(const std::string& scrape, const std::string& series) {
+  std::istringstream lines(scrape);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind(series + " ", 0) == 0) {
+      return std::stod(line.substr(series.size() + 1));
+    }
+  }
+  return -1.0;
+}
+
+/// The lines of `output` that report answers ("item …" and "answered …").
+std::string answer_lines(const std::string& output) {
+  std::istringstream lines(output);
+  std::string line;
+  std::string answers;
+  while (std::getline(lines, line)) {
+    if (line.rfind("item ", 0) == 0 || line.rfind("answered ", 0) == 0) {
+      answers += line + "\n";
+    }
+  }
+  return answers;
+}
+
+TEST(Cli, FlakyServeIsTransparent) {
+  // `--flaky R` fail-stops a fraction R of oracle calls before they reach
+  // storage; the retry layer absorbs every one, so the answers and the
+  // warm-up's sample count are those of a reliable oracle.
+  const std::string path = temp_instance();
+  ASSERT_EQ(run("generate --family needle --n 800 --seed 6 --out " + path).exit_code, 0);
+  const std::string base = "serve --in " + path + " --eps 0.2";
+  for (const char* items : {" --all", " --items 0,1,2,3,4,5,6,7"}) {
+    const auto reliable = run(base + items);
+    ASSERT_EQ(reliable.exit_code, 0) << reliable.output;
+    const auto flaky = run(base + items + " --flaky 0.3 --metrics=prom");
+    ASSERT_EQ(flaky.exit_code, 0) << flaky.output;
+    EXPECT_FALSE(answer_lines(reliable.output).empty());
+    EXPECT_EQ(answer_lines(flaky.output), answer_lines(reliable.output));
+
+    // Every injected fail-stop was absorbed by exactly one retry.
+    const double failstops =
+        prom_value(flaky.output, "fault_injected_total{kind=\"failstop\"}");
+    const double retries = prom_value(flaky.output, "oracle_retries_total");
+    EXPECT_GT(failstops, 0.0) << flaky.output;
+    EXPECT_EQ(failstops, retries) << flaky.output;
+  }
+
+  // The rate must be in [0, 1); NaN fails every comparison and is rejected.
+  for (const char* bad : {"1", "nan", "-0.1"}) {
+    const auto result = run(base + " --all --flaky " + bad);
+    EXPECT_EQ(result.exit_code, 1) << bad << "\n" << result.output;
+    EXPECT_NE(result.output.find("usage error: --flaky"), std::string::npos)
+        << result.output;
+  }
+}
+
 TEST(Cli, HelpListsEveryCommandAndFlag) {
   // Help audit: every command and every flag the parser accepts must appear
   // in the usage text, so an operator can discover it without reading the
@@ -322,7 +380,7 @@ TEST(Cli, TwoServerProcessesAnswerByteIdentically) {
     std::string raw_a;
     std::string raw_b;
     const auto response_a = client_a.call(frame, &raw_a);
-    const auto response_b = client_b.call(frame, &raw_b);
+    (void)client_b.call(frame, &raw_b);  // compared byte-for-byte below
     ASSERT_EQ(raw_a, raw_b) << "replicas diverged at query " << q;
     if (response_a.status == lcaknap::net::WireStatus::kOk) ++ok;
   }

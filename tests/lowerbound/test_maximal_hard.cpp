@@ -82,8 +82,8 @@ TEST(MaximalGame, ZeroBudgetForcedYesGivesHalf) {
 
 TEST(MaximalGame, ValidatesArguments) {
   const SharedScanStrategy strategy;
-  EXPECT_THROW(play_maximal_game(1, 1, 10, strategy, 5), std::invalid_argument);
-  EXPECT_THROW(play_maximal_game(8, 1, 0, strategy, 5), std::invalid_argument);
+  EXPECT_THROW((void)play_maximal_game(1, 1, 10, strategy, 5), std::invalid_argument);
+  EXPECT_THROW((void)play_maximal_game(8, 1, 0, strategy, 5), std::invalid_argument);
 }
 
 }  // namespace

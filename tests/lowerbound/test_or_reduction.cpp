@@ -95,8 +95,8 @@ TEST(OrGame, FullBudgetProbeSucceeds) {
 TEST(OrGame, ValidatesArguments) {
   util::Xoshiro256 rng(5);
   const RandomProbeStrategy strategy;
-  EXPECT_THROW(play_or_game(1, 1, 10, strategy, rng), std::invalid_argument);
-  EXPECT_THROW(play_or_game(8, 1, 0, strategy, rng), std::invalid_argument);
+  EXPECT_THROW((void)play_or_game(1, 1, 10, strategy, rng), std::invalid_argument);
+  EXPECT_THROW((void)play_or_game(8, 1, 0, strategy, rng), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "fault/chaos.h"
+#include "fault/plan.h"
 #include "knapsack/generators.h"
-#include "oracle/flaky.h"
-#include "oracle/sharded.h"
+#include "oracle/retrying.h"
 
 namespace lcaknap::oracle {
 namespace {
@@ -65,39 +65,6 @@ TEST(InstrumentedAccess, IsTransparentToResults) {
   }
 }
 
-TEST(InstrumentedAccess, LatencyModelFeedsHistogram) {
-  const auto inst = small_instance();
-  metrics::Registry registry;
-  const MaterializedAccess storage(inst);
-  const InstrumentedAccess access(storage, registry,
-                                  LatencyModel{/*fixed_us=*/50.0,
-                                               /*exp_mean_us=*/20.0},
-                                  /*latency_seed=*/3);
-  recorded_call_sequence(access, 6);
-
-  const auto snap = registry.snapshot();
-  bool found = false;
-  for (const auto& h : snap.histograms) {
-    if (h.name != "oracle_access_latency_us") continue;
-    found = true;
-    EXPECT_EQ(h.count, access.access_count());
-    // Every draw pays at least the fixed cost.
-    EXPECT_GE(h.sum, 50.0 * static_cast<double>(h.count));
-  }
-  EXPECT_TRUE(found);
-}
-
-TEST(InstrumentedAccess, WithoutModelRegistersNoLatencyHistogram) {
-  const auto inst = small_instance();
-  metrics::Registry registry;
-  const MaterializedAccess storage(inst);
-  const InstrumentedAccess access(storage, registry);
-  (void)access.query(0);
-  for (const auto& h : registry.snapshot().histograms) {
-    EXPECT_NE(h.name, "oracle_access_latency_us");
-  }
-}
-
 TEST(InstrumentedAccess, ConcurrentTrafficKeepsBothPathsEqual) {
   const auto inst = small_instance();
   metrics::Registry registry;
@@ -119,13 +86,19 @@ TEST(FlakyAndRetrying, FailureAndRetryCountersMirrorLegacyAccessors) {
   metrics::Registry registry;
   const MaterializedAccess storage(inst);
   const InstrumentedAccess instrumented(storage, registry);
-  const FlakyAccess flaky(instrumented, /*failure_rate=*/0.3, /*seed=*/11, registry);
-  const RetryingAccess client(flaky, /*max_attempts=*/64, registry);
+  const fault::ChaosAccess flaky(instrumented, fault::fail_stop_plan(0.3, /*seed=*/11),
+                                 util::system_clock(), /*armed=*/true, registry);
+  RetryConfig config;
+  config.max_attempts = 64;
+  const RetryingAccess client(flaky, config, util::system_clock(), registry);
 
   recorded_call_sequence(client, 21);
 
-  EXPECT_GT(flaky.failures_injected(), 0u);
-  EXPECT_EQ(registry.counter_value("oracle_failures_total"), flaky.failures_injected());
+  EXPECT_GT(flaky.failstops_injected(), 0u);
+  EXPECT_EQ(registry.counter_value("fault_injected_total", {{"kind", "failstop"}}),
+            flaky.failstops_injected());
+  // Every injected fail-stop was absorbed by exactly one retry.
+  EXPECT_EQ(client.retries_performed(), flaky.failstops_injected());
   EXPECT_EQ(registry.counter_value("oracle_retries_total"), client.retries_performed());
   // Failures fire before storage is touched: the canonical query/sample
   // counters only see successful attempts.
@@ -137,7 +110,7 @@ TEST(FlakyAndRetrying, ReliableStackRegistersZeroedFamilies) {
   const auto inst = small_instance();
   metrics::Registry registry;
   const MaterializedAccess storage(inst);
-  const RetryingAccess client(storage, 4, registry);
+  const RetryingAccess client(storage, RetryConfig{}, util::system_clock(), registry);
   (void)client.query(0);
   // The family exists (an operator's dashboard can always plot it) at zero.
   const auto snap = registry.snapshot();
@@ -149,25 +122,6 @@ TEST(FlakyAndRetrying, ReliableStackRegistersZeroedFamilies) {
     }
   }
   EXPECT_TRUE(found);
-}
-
-TEST(ShardedAccess, PerShardTrafficCountersMatchShardLoads) {
-  const auto inst = small_instance();
-  metrics::Registry registry;
-  const ShardedAccess sharded(inst, 4, registry);
-  util::Xoshiro256 tape(31);
-  for (int i = 0; i < 400; ++i) {
-    (void)sharded.query(static_cast<std::size_t>(tape.next_below(inst.size())));
-    (void)sharded.weighted_sample(tape);
-  }
-  std::uint64_t total = 0;
-  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
-    EXPECT_EQ(registry.counter_value("oracle_shard_accesses_total",
-                                     {{"shard", std::to_string(s)}}),
-              sharded.shard_load(s));
-    total += sharded.shard_load(s);
-  }
-  EXPECT_EQ(total, sharded.access_count());
 }
 
 }  // namespace

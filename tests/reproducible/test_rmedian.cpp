@@ -144,14 +144,14 @@ TEST(RMedian, ValidatesParameters) {
   const util::Prf prf(1);
   auto p = default_params();
   p.tau = 0.0;
-  EXPECT_THROW(rmedian(samples, p, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)rmedian(samples, p, prf, 0), std::invalid_argument);
   p = default_params();
   p.domain_size = 1;
-  EXPECT_THROW(rmedian(samples, p, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)rmedian(samples, p, prf, 0), std::invalid_argument);
   p = default_params();
-  EXPECT_THROW(rmedian({}, p, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)rmedian({}, p, prf, 0), std::invalid_argument);
   const std::vector<std::int64_t> out_of_domain{-1};
-  EXPECT_THROW(rmedian(out_of_domain, p, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)rmedian(out_of_domain, p, prf, 0), std::invalid_argument);
 }
 
 TEST(RMedian, AtomExactlyAtMassHalfIsHandled) {

@@ -117,12 +117,12 @@ TEST(RQuantile, RejectsBadInput) {
   const auto params = default_params();
   const util::Prf prf(26);
   const std::vector<std::int64_t> samples{1, 2, 3};
-  EXPECT_THROW(rquantile(samples, 0.0, params, prf, 0), std::invalid_argument);
-  EXPECT_THROW(rquantile(samples, 1.0, params, prf, 0), std::invalid_argument);
-  EXPECT_THROW(rquantile(std::vector<std::int64_t>{}, 0.5, params, prf, 0),
+  EXPECT_THROW((void)rquantile(samples, 0.0, params, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)rquantile(samples, 1.0, params, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)rquantile(std::vector<std::int64_t>{}, 0.5, params, prf, 0),
                std::invalid_argument);
   const std::vector<std::int64_t> bad{params.domain_size};
-  EXPECT_THROW(rquantile(bad, 0.5, params, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)rquantile(bad, 0.5, params, prf, 0), std::invalid_argument);
 }
 
 TEST(RQuantile, SampleSizeAccountsForPadding) {

@@ -72,9 +72,9 @@ TEST(ReproducibleMean, DifferentQueryIdsUseDifferentOffsets) {
 
 TEST(ReproducibleMean, RejectsBadInput) {
   const util::Prf prf(1);
-  EXPECT_THROW(reproducible_mean({}, 0.1, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)reproducible_mean({}, 0.1, prf, 0), std::invalid_argument);
   const std::vector<double> one{0.5};
-  EXPECT_THROW(reproducible_mean(one, 0.0, prf, 0), std::invalid_argument);
+  EXPECT_THROW((void)reproducible_mean(one, 0.0, prf, 0), std::invalid_argument);
 }
 
 TEST(RStatSampleSize, ScalesInverselyWithRhoSquared) {

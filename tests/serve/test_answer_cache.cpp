@@ -140,7 +140,9 @@ TEST(AnswerCache, ConcurrentMixedTrafficConservesCounters) {
   // Cached answers are never corrupted by races.
   for (std::size_t item = 0; item < 512; ++item) {
     const auto hit = cache.get(item);
-    if (hit.has_value()) EXPECT_EQ(hit->answer, item % 2 == 0);
+    if (hit.has_value()) {
+      EXPECT_EQ(hit->answer, item % 2 == 0);
+    }
   }
 }
 

@@ -80,7 +80,7 @@
 #include "dyn/update.h"
 #include "core/lca_kp.h"
 #include "core/mapping_greedy.h"
-#include "core/serving_sim.h"
+#include "core/workload.h"
 #include "fault/chaos.h"
 #include "fault/circuit_breaker.h"
 #include "fault/plan.h"
@@ -94,8 +94,8 @@
 #include "net/server.h"
 #include "net/session.h"
 #include "oracle/access.h"
-#include "oracle/flaky.h"
 #include "oracle/instrumented.h"
+#include "oracle/retrying.h"
 #include "serve/engine.h"
 #include "store/snapshot.h"
 #include "store/state_store.h"
@@ -488,21 +488,30 @@ int cmd_serve(const Args& args) {
       static_cast<std::size_t>(args.get_u64("warmup-threads", 1));
 
   // The serving oracle stack, innermost first: storage -> instrumentation
-  // (the registry's canonical counters) -> optional injected failures ->
-  // client-side retries.  The decorators are access-transparent, so answers
-  // are identical to serving straight off storage.
+  // (the registry's canonical counters) -> optional injected fail-stops (a
+  // one-phase fault plan) -> client-side retries.  The decorators are
+  // access-transparent, so answers are identical to serving straight off
+  // storage.
   auto& registry = metrics::global_registry();
   const oracle::MaterializedAccess storage(inst);
   const oracle::InstrumentedAccess instrumented(storage, registry);
   const double flaky_rate = args.get_double("flaky", 0.0);
-  std::optional<oracle::FlakyAccess> flaky;
+  // Negated so NaN, which fails every comparison, is rejected too.
+  if (!(flaky_rate >= 0.0 && flaky_rate < 1.0)) {
+    throw std::invalid_argument("--flaky must be in [0, 1)");
+  }
+  std::optional<fault::ChaosAccess> flaky;
   if (flaky_rate > 0.0) {
-    flaky.emplace(instrumented, flaky_rate, args.get_u64("flaky-seed", 0xF1A), registry);
+    flaky.emplace(instrumented,
+                  fault::fail_stop_plan(flaky_rate, args.get_u64("flaky-seed", 0xF1A)),
+                  util::system_clock(), /*armed=*/true, registry);
   }
   const oracle::InstanceAccess& upstream = flaky ? static_cast<const oracle::InstanceAccess&>(*flaky)
                                                  : instrumented;
-  const oracle::RetryingAccess access(
-      upstream, static_cast<int>(args.get_u64("retries", 16)), registry);
+  oracle::RetryConfig retry_config;
+  retry_config.max_attempts = static_cast<int>(args.get_u64("retries", 16));
+  const oracle::RetryingAccess access(upstream, retry_config, util::system_clock(),
+                                      registry);
   const core::LcaKp lca(access, config);
 
   // Sharded deterministic warm-up: `--warmup-threads K` changes wall time,
